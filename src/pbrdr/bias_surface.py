@@ -23,6 +23,9 @@ Reference biases accompany the surface:
 * ``IMP``: the imputation estimator ``(1/n) sum_i [A_i y_i + (1-A_i) b x_i]``
   with ``b`` solving ``sum_i A_i (y_i - b x_i) = 0``.
 
+The BR and MLE propensity slopes are fitted on the one-column design by the
+loss closures and Newton engine of :mod:`solvers`, to its ``DEFAULT_TOL``.
+
 The inverse-weighting references are dominated by the deepest tail units
 (the underlying bias integral diverges), so their single-sample values vary
 widely across seeds; the bias-reduced and imputation references are stable.
@@ -39,13 +42,19 @@ import numpy as np
 from scipy.special import expit
 
 from .dataset import Dataset
-from .errors import ConfigError, NonConvergence
+from .errors import ConfigError, UnboundedObjective
+from .simulation import _oracle_mean
+from .solvers import (
+    DEFAULT_NEWTON_ITER,
+    DEFAULT_TOL,
+    _calibration_value_grad,
+    _logistic_value_grad,
+    _newton,
+)
 
 REFERENCE_TAGS = ("BR", "MLE-DR", "IPW", "IMP")
 
-_MU0_ORACLE_DRAWS = 10_000_000
 _MU0_ORACLE_SEED = 771_100
-_MU0_CACHE: Dict[str, float] = {}
 
 # Fitted propensities below this value on treated units mark the grid cell
 # as unevaluable (NaN) rather than aborting the surface.
@@ -118,68 +127,24 @@ def target_mean(variant: str) -> float:
     """
     if variant not in VARIANTS:
         raise ConfigError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    if variant not in _MU0_CACHE:
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=_MU0_ORACLE_SEED))
-        total = 0.0
-        chunk = 1_000_000
-        for _ in range(_MU0_ORACLE_DRAWS // chunk):
-            x = 3.0 - rng.gamma(shape=1.0, scale=1.0, size=chunk)
-            total += float(np.sum(_outcome_mean(x, variant)))
-        _MU0_CACHE[variant] = total / _MU0_ORACLE_DRAWS
-    return _MU0_CACHE[variant]
+    return _oracle_mean(
+        ("surface", variant),
+        np.random.SeedSequence(entropy=_MU0_ORACLE_SEED),
+        lambda rng, m: np.sum(
+            _outcome_mean(3.0 - rng.gamma(shape=1.0, scale=1.0, size=m), variant)
+        ),
+    )
 
 
-def _newton_scalar(value_grad_hess, x0: float, tol: float = 1e-12, max_iter: int = 200) -> float:
-    """Damped Newton on a smooth strictly convex scalar function."""
-    x = float(x0)
-    for _ in range(max_iter):
-        f, g, h = value_grad_hess(x)
-        if abs(g) <= tol:
-            return x
-        direction = -g / h
-        step = 1.0
-        while True:
-            f_new, _, _ = value_grad_hess(x + step * direction)
-            if np.isfinite(f_new) and f_new <= f + 1e-4 * step * g * direction:
-                break
-            step *= 0.5
-            if step < 1e-16:
-               raise NonConvergence("scalar Newton line search stalled")
-        x += step * direction
-    raise NonConvergence("scalar Newton failed to reach tolerance")
-
-
-def fit_scalar_calibration(x: np.ndarray, a: np.ndarray) -> float:
-    """Scalar ``g`` solving ``(1/n) sum_i {1 - A_i/expit(g x_i)} x_i = 0``
-    (the minimiser of the intercept-free calibration loss)."""
-    n = x.shape[0]
-    treated = a == 1.0
-    x_t = x[treated]
-    x_c_sum = float(x[~treated].sum())
-
-    def vgh(g: float):
-        e = np.exp(-g * x_t)
-        val = (float(e.sum()) + g * x_c_sum) / n
-        grad = (x_c_sum - float(x_t @ e)) / n
-        hess = float((x_t**2) @ e) / n
-        return val, grad, hess
-
-    return _newton_scalar(vgh, 0.0)
-
-
-def fit_scalar_logistic_mle(x: np.ndarray, a: np.ndarray) -> float:
-    """Scalar MLE of the intercept-free logistic model ``P(A=1|x) = expit(g x)``."""
-    n = x.shape[0]
-
-    def vgh(g: float):
-        u = g * x
-        val = float(np.mean(np.logaddexp(0.0, u) - a * u))
-        pi = expit(u)
-        grad = float(np.mean((pi - a) * x))
-        hess = float(np.mean(pi * (1.0 - pi) * x**2))
-        return val, grad, hess
-
-    return _newton_scalar(vgh, 0.0)
+def _reference_slope(loss, x: np.ndarray, a: np.ndarray) -> float:
+    """Minimiser of a propensity loss from :mod:`solvers` over the slope of the
+    intercept-free one-column design ``x[:, None]``."""
+    value_grad = loss(x[:, None], a)
+    diverged = UnboundedObjective("reference slope fit diverged")
+    slope, _, _ = _newton(
+        value_grad, value_grad.hess, np.zeros(1), DEFAULT_TOL, DEFAULT_NEWTON_ITER, diverged
+    )
+    return float(slope[0])
 
 
 def _scalar_dr_bias(x, a, y, g: float, b: float, mu0: float) -> float:
@@ -223,12 +188,12 @@ def evaluate_surface(dgp: SurfaceDgp, gamma_grid, beta_grid) -> SurfaceGrid:
         t2 = float(y[treated] @ inv_pi_t) / n
         raw[i, :] = beta_grid * t1 + t2 - mu0
 
-    g_br = fit_scalar_calibration(x, a)
+    g_br = _reference_slope(_calibration_value_grad, x, a)
     w_t = np.exp(-g_br * x[treated])
     b_br = float((w_t * y[treated]) @ x[treated]) / float((w_t * x[treated]) @ x[treated])
     br_point = (g_br, b_br)
 
-    g_mle = fit_scalar_logistic_mle(x, a)
+    g_mle = _reference_slope(_logistic_value_grad, x, a)
     b_ols = float((a * y) @ x) / float((a * x) @ x)
     pi_mle = expit(g_mle * x)
     ipw = float(np.mean(np.where(treated, y / pi_mle, 0.0)))

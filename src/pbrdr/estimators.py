@@ -63,6 +63,16 @@ EXTRA_TAGS: Tuple[str, ...] = ("IPTW-LASSO", "IPTW-MLE")
 ALL_TAGS: Tuple[str, ...] = tuple(sorted(DEFAULT_ROSTER + EXTRA_TAGS))
 
 
+def _resolve_tags(tags: Optional[Sequence[str]]) -> Tuple[str, ...]:
+    """The requested estimator tags (default: the roster); raises
+    :class:`ConfigError` naming every tag outside :data:`ALL_TAGS`."""
+    tags = DEFAULT_ROSTER if tags is None else tuple(tags)
+    unknown = [t for t in tags if t not in ALL_TAGS]
+    if unknown:
+        raise ConfigError(f"unknown estimator tag(s) {unknown}; valid tags: {', '.join(ALL_TAGS)}")
+    return tags
+
+
 @dataclass
 class EstimateResult:
     """Point estimate with influence-based uncertainty.
@@ -383,12 +393,7 @@ def estimate_suite(
     marker when ``n <= p + 1``. Nuisance fits shared between estimators are
     computed once.
     """
-    tags = list(estimators) if estimators is not None else list(DEFAULT_ROSTER)
-    unknown = [t for t in tags if t not in ALL_TAGS]
-    if unknown:
-        raise ConfigError(
-            f"unknown estimator tag(s) {unknown}; valid tags: {', '.join(ALL_TAGS)}"
-        )
+    tags = _resolve_tags(estimators)
     lam_gamma, lam_beta = penalties or default_penalties(data.n, max(data.p, 1))
     builders = _suite_builders(data, opts, lam_gamma, lam_beta)
     out: Dict[str, SuiteEntry] = {}
@@ -402,7 +407,8 @@ def estimate_suite(
         try:
             out[tag] = SuiteEntry(result=builders[tag]())
         except PbrdrError as exc:
-            out[tag] = SuiteEntry(exception=exc)
+            # A kept traceback would hold ``out`` and ``data`` in a reference cycle.
+            out[tag] = SuiteEntry(exception=exc.with_traceback(None))
     return out
 
 

@@ -33,11 +33,12 @@ from scipy.special import expit
 
 from .dataset import Dataset
 from .errors import ConfigError, DimensionError
-from .estimators import ALL_TAGS, DEFAULT_ROSTER, estimate_suite
+from .estimators import _resolve_tags, estimate_suite
 
 _MU0_ORACLE_DRAWS = 10_000_000
+_MU0_ORACLE_CHUNK = 1_000_000
 _MU0_ORACLE_SEED = 202406  # fixed stream so the cached oracle value is reproducible
-_MU0_CACHE: Dict[Tuple[str, bool], float] = {}
+_MU0_CACHE: Dict[Tuple, float] = {}
 
 VALID_SCENARIOS = ("S1", "S2")
 
@@ -162,21 +163,29 @@ def _s2_features(x: np.ndarray, transformed: bool) -> np.ndarray:
     )
 
 
+def _oracle_mean(key: Tuple, seed: np.random.SeedSequence, chunk_sum: Callable) -> float:
+    """Mean over 10^7 draws from the stream ``seed`` in fixed chunks of 10^6,
+    cached under ``key``; ``chunk_sum(rng, m)`` draws ``m`` units and sums
+    their outcome means."""
+    if key not in _MU0_CACHE:
+        rng = np.random.default_rng(seed)
+        total = 0.0
+        for _ in range(_MU0_ORACLE_DRAWS // _MU0_ORACLE_CHUNK):
+            total += float(chunk_sum(rng, _MU0_ORACLE_CHUNK))
+        _MU0_CACHE[key] = total / _MU0_ORACLE_DRAWS
+    return _MU0_CACHE[key]
+
+
 def _s2_misspecified_mu0(correlated: bool) -> float:
     """Target mean of the transformed-covariate outcome model, by a cached
     10^7-draw Monte Carlo oracle with a fixed internal stream."""
-    key = ("S2", correlated)
-    if key not in _MU0_CACHE:
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=_MU0_ORACLE_SEED, spawn_key=(int(correlated),))
-        )
-        total = 0.0
-        chunk = 1_000_000
-        for _ in range(_MU0_ORACLE_DRAWS // chunk):
-            x = gen_covariates(chunk, 4, correlated, rng)
-            total += float(np.sum(210.0 + _s2_features(x, True) @ _S2_OUTCOME))
-        _MU0_CACHE[key] = total / _MU0_ORACLE_DRAWS
-    return _MU0_CACHE[key]
+    return _oracle_mean(
+        ("S2", correlated),
+        np.random.SeedSequence(entropy=_MU0_ORACLE_SEED, spawn_key=(int(correlated),)),
+        lambda rng, m: np.sum(
+            210.0 + _s2_features(gen_covariates(m, 4, correlated, rng), True) @ _S2_OUTCOME
+        ),
+    )
 
 
 def scenario2_model(spec: ScenarioSpec) -> TrueModel:
@@ -323,10 +332,7 @@ def run_monte_carlo(
     replication-index order, so parallel and serial execution produce
     identical tables.
     """
-    tags = tuple(estimators) if estimators is not None else DEFAULT_ROSTER
-    unknown = [t for t in tags if t not in ALL_TAGS]
-    if unknown:
-        raise ConfigError(f"unknown estimator tag(s) {unknown}; valid tags: {', '.join(ALL_TAGS)}")
+    tags = _resolve_tags(estimators)
     model = build_model(spec)  # also populates the mu0 oracle cache before forking
     mu0 = model.mu0
     jobs = [(spec, tags, r) for r in range(spec.reps)]
@@ -424,15 +430,8 @@ def parse_config_text(text: str) -> List[Tuple[ScenarioSpec, Tuple[str, ...]]]:
     if missing:
         raise ConfigError(f"missing required config key(s): {', '.join(missing)}")
 
-    if "estimators" in values:
-        tags = tuple(t.strip() for t in values["estimators"].split(",") if t.strip())
-        unknown = [t for t in tags if t not in ALL_TAGS]
-        if unknown:
-            raise ConfigError(
-                f"unknown estimator tag(s) {unknown}; valid tags: {', '.join(ALL_TAGS)}"
-            )
-    else:
-        tags = DEFAULT_ROSTER
+    requested = [t.strip() for t in values.get("estimators", "").split(",") if t.strip()]
+    tags = _resolve_tags(requested if "estimators" in values else None)
 
     reps = _parse_int(values["reps"], "reps")
     seed = _parse_int(values["seed"], "seed")

@@ -363,38 +363,40 @@ def _cd_quadratic(gram, lin, lam, penalized, x0, tol, max_sweeps):
 # ---------------------------------------------------------------------------
 
 
-def _newton(value_grad_hess, x0, tol, max_iter, divergence_error: Exception, norm_guard: float = NORM_GUARD):
+def _newton(value_grad, hess, x0, tol, max_iter, divergence_error: Exception, norm_guard: float = NORM_GUARD):
+    """Damped Newton with backtracking; ``value_grad`` as for the proximal engine,
+    ``hess`` evaluated at accepted iterates only. Stops when the gradient's
+    sup-norm reaches ``tol``; an iterate norm above ``norm_guard`` raises
+    ``divergence_error``."""
     x = np.array(x0, dtype=float)
-    f, g, h = value_grad_hess(x)
+    f, g = value_grad(x)
     if not np.isfinite(f):
         raise ValueError("objective is not finite at the starting point")
-    res = float(np.max(np.abs(g))) if g.size else 0.0
-    for it in range(1, max_iter + 1):
+    for it in range(max_iter + 1):
+        res = float(np.max(np.abs(g))) if g.size else 0.0
         if res <= tol:
-            return x, res, it - 1
+            return x, res, it
+        if it == max_iter:
+            raise NonConvergence(
+                f"Newton hit max_iter={max_iter} with residual {res:.3e} > tol {tol:.1e}"
+            )
         try:
-            direction = np.linalg.solve(h, -g)
+            direction = np.linalg.solve(hess(x), -g)
         except np.linalg.LinAlgError as exc:
             raise RankDeficient("singular Hessian in Newton solve") from exc
         slope = float(g @ direction)
         step = 1.0
         while True:
             x_new = x + step * direction
-            f_new, g_new, h_new = value_grad_hess(x_new)
+            f_new, g_new = value_grad(x_new)
             if np.isfinite(f_new) and f_new <= f + 1e-4 * step * slope:
                 break
             step *= 0.5
             if step < 1e-16:
                 raise NonConvergence("Newton line search stalled")
-        x, f, g, h = x_new, f_new, g_new, h_new
+        x, f, g = x_new, f_new, g_new
         if float(np.linalg.norm(x)) > norm_guard:
             raise divergence_error
-        res = float(np.max(np.abs(g))) if g.size else 0.0
-    if res <= tol:
-        return x, res, max_iter
-    raise NonConvergence(
-        f"Newton hit max_iter={max_iter} with residual {res:.3e} > tol {tol:.1e}"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +407,8 @@ def _newton(value_grad_hess, x0, tol, max_iter, divergence_error: Exception, nor
 def _calibration_value_grad(z: np.ndarray, a: np.ndarray) -> Callable:
     """Mean-scale value/gradient of ``(1/n) sum_i [A_i exp(-u_i) + (1-A_i) u_i]``.
 
-    The gradient equals the calibration score ``(1/n) sum_i {1 - A_i/pi_i} z_i``.
+    The gradient equals the calibration score ``(1/n) sum_i {1 - A_i/pi_i} z_i``;
+    the returned callable carries the Hessian callable as ``.hess``.
     """
     n = z.shape[0]
     treated = a == 1.0
@@ -422,11 +425,17 @@ def _calibration_value_grad(z: np.ndarray, a: np.ndarray) -> Callable:
         grad = (z_c_sum - z_t.T @ e_t) / n
         return val, grad
 
+    def hess(coef: np.ndarray) -> np.ndarray:
+        e_t = np.exp(-(z @ coef)[treated])
+        return (z_t * e_t[:, None]).T @ z_t / n
+
+    value_grad.hess = hess
     return value_grad
 
 
 def _logistic_value_grad(z: np.ndarray, a: np.ndarray) -> Callable:
-    """Mean-scale negative log-likelihood of the logistic model and its gradient."""
+    """Mean-scale negative log-likelihood of the logistic model and its gradient
+    (Hessian callable as ``.hess``)."""
     n = z.shape[0]
 
     def value_grad(coef: np.ndarray):
@@ -437,6 +446,11 @@ def _logistic_value_grad(z: np.ndarray, a: np.ndarray) -> Callable:
         grad = z.T @ (expit(u) - a) / n
         return val, grad
 
+    def hess(coef: np.ndarray) -> np.ndarray:
+        pi = expit(z @ coef)
+        return (z * (pi * (1.0 - pi))[:, None]).T @ z / n
+
+    value_grad.hess = hess
     return value_grad
 
 
@@ -451,45 +465,11 @@ def _require_both_arms(data: Dataset) -> None:
         raise DegenerateData("all treatment values are equal; the propensity model is not identified")
 
 
-def fit_calibration_lasso(
-    data: Dataset, lambda_gamma: float, opts: Optional[SolverOptions] = None
+def _fit_propensity_lasso(
+    loss: Callable, data: Dataset, lam: float, opts: Optional[SolverOptions]
 ) -> PropensityCoefficients:
-    """Fit the propensity model by the l1-penalised calibration loss.
-
-    Minimises ``(1/n) sum_i [A_i exp(-g.z_i) + (1-A_i) g.z_i] + lam ||g||_1``
-    (intercept unpenalized by default). At the solution the covariate-
-    balancing score ``(1/n) sum_i {1 - A_i/pi_i} z_i`` satisfies the l1
-    stationarity conditions to within ``opts.tol`` in sup-norm; with an
-    unpenalized intercept this implies the calibration identity
-    ``(1/n) sum_i A_i / pi_i = 1``.
-    """
-    opts = opts or DEFAULT_OPTIONS
-    if lambda_gamma < 0:
-        raise ValueError("lambda_gamma must be nonnegative")
-    if data.n < 2:
-        raise DegenerateData("need at least two observations")
-    _require_both_arms(data)
-    z, scales = _standardized_design(data, opts)
-    mask = _penalized_mask(data.p + 1, opts)
-    x0 = np.zeros(data.p + 1)
-    abar = data.a.mean()
-    x0[0] = math.log(abar / (1.0 - abar))
-    coef, kkt, n_iter, trace = _prox_gradient(
-        _calibration_value_grad(z, data.a),
-        x0,
-        lambda_gamma,
-        mask,
-        opts.tol,
-        opts.max_iter or DEFAULT_PROX_ITER,
-    )
-    gamma = _back_transform(coef, scales)
-    return PropensityCoefficients(gamma, lambda_gamma, _active_set(gamma), kkt, n_iter, trace)
-
-
-def fit_logistic_lasso(
-    data: Dataset, lam: float, opts: Optional[SolverOptions] = None
-) -> PropensityCoefficients:
-    """l1-penalised logistic maximum likelihood for the propensity model."""
+    """Proximal-gradient fit of ``loss(z, a)`` plus ``lam * ||g||_1``, started
+    at the intercept-only logit of the treated fraction."""
     opts = opts or DEFAULT_OPTIONS
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
@@ -502,15 +482,32 @@ def fit_logistic_lasso(
     abar = data.a.mean()
     x0[0] = math.log(abar / (1.0 - abar))
     coef, kkt, n_iter, trace = _prox_gradient(
-        _logistic_value_grad(z, data.a),
-        x0,
-        lam,
-        mask,
-        opts.tol,
-        opts.max_iter or DEFAULT_PROX_ITER,
+        loss(z, data.a), x0, lam, mask, opts.tol, opts.max_iter or DEFAULT_PROX_ITER
     )
     gamma = _back_transform(coef, scales)
     return PropensityCoefficients(gamma, lam, _active_set(gamma), kkt, n_iter, trace)
+
+
+def fit_calibration_lasso(
+    data: Dataset, lambda_gamma: float, opts: Optional[SolverOptions] = None
+) -> PropensityCoefficients:
+    """Fit the propensity model by the l1-penalised calibration loss.
+
+    Minimises ``(1/n) sum_i [A_i exp(-g.z_i) + (1-A_i) g.z_i] + lam ||g||_1``
+    (intercept unpenalized by default). At the solution the covariate-
+    balancing score ``(1/n) sum_i {1 - A_i/pi_i} z_i`` satisfies the l1
+    stationarity conditions to within ``opts.tol`` in sup-norm; with an
+    unpenalized intercept this implies the calibration identity
+    ``(1/n) sum_i A_i / pi_i = 1``.
+    """
+    return _fit_propensity_lasso(_calibration_value_grad, data, lambda_gamma, opts)
+
+
+def fit_logistic_lasso(
+    data: Dataset, lam: float, opts: Optional[SolverOptions] = None
+) -> PropensityCoefficients:
+    """l1-penalised logistic maximum likelihood for the propensity model."""
+    return _fit_propensity_lasso(_logistic_value_grad, data, lam, opts)
 
 
 # Treated propensities this close to 0 (or exactly 1 in float) break the
@@ -557,7 +554,9 @@ def _weighted_lasso(
         coef, *_ = np.linalg.lstsq(gram, lin, rcond=None)
         coef[np.abs(coef) < ZERO_SNAP] = 0.0
         kkt = _kkt_sup_norm(gram @ coef - lin, coef, 0.0, mask)
-        if kkt > opts.tol:
+        # Relative to the size of the right-hand side: the attainable residual
+        # scales with the units of y.
+        if kkt > opts.tol * max(1.0, float(np.max(np.abs(lin)))):
             raise NonConvergence(
                 f"normal equations could not be solved to tolerance (residual {kkt:.3e})"
             )
@@ -622,40 +621,32 @@ def fit_logistic_mle(data: Dataset, opts: Optional[SolverOptions] = None) -> Pro
     """Unpenalized logistic maximum likelihood via damped Newton iterations.
 
     Divergent coefficients (norm above the guard on the standardized scale)
-    raise :class:`Separation`.
+    raise :class:`Separation`, or :class:`RankDeficient` on a collinear design.
     """
     opts = opts or DEFAULT_OPTIONS
     _require_both_arms(data)
     if data.n <= data.p + 1:
         raise RankDeficient("logistic MLE requires n > p + 1")
     z, scales = _standardized_design(data, opts)
-    n = data.n
-    a = data.a
-
-    def vgh(coef: np.ndarray):
-        u = z @ coef
-        val = float(np.mean(np.logaddexp(0.0, u) - a * u))
-        if not np.isfinite(val):
-            return val, None, None
-        pi = expit(u)
-        grad = z.T @ (pi - a) / n
-        w = pi * (1.0 - pi)
-        hess = (z * w[:, None]).T @ z / n
-        return val, grad, hess
-
+    loss = _logistic_value_grad(z, data.a)
     # Logistic coefficients of norm ~100 on the standardized scale put every
     # fitted probability at 0/1 within float resolution: separation, even if
     # the score tolerance is met by underflow.
-    coef, res, n_iter = _newton(
-        vgh,
-        np.zeros(data.p + 1),
-        opts.tol,
-        opts.max_iter or DEFAULT_NEWTON_ITER,
-        Separation("coefficient norm diverged; data appear perfectly separated"),
-        norm_guard=100.0,
-    )
-    if float(np.linalg.norm(coef)) > 100.0:
-        raise Separation("coefficient norm diverged; data appear perfectly separated")
+    try:
+        coef, res, n_iter = _newton(
+            loss,
+            loss.hess,
+            np.zeros(data.p + 1),
+            opts.tol,
+            opts.max_iter or DEFAULT_NEWTON_ITER,
+            Separation("coefficient norm diverged; data appear perfectly separated"),
+            norm_guard=100.0,
+        )
+    except Separation:
+        # A collinear design diverges along its null space too; name that cause.
+        if np.linalg.matrix_rank(z) <= data.p:
+            raise RankDeficient("design is rank deficient; the logistic MLE is not identified") from None
+        raise
     gamma = _back_transform(coef, scales)
     return PropensityCoefficients(gamma, 0.0, _active_set(gamma), res, n_iter, None)
 
@@ -744,37 +735,26 @@ def fit_br_refit(
     selected = sorted(set(int(j) for j in selected))
     if any(j < 1 or j > data.p for j in selected):
         raise ValueError(f"selected entries must lie in 1..{data.p}")
-    if data.n_treated == 0:
-        raise DegenerateData("no treated units")
     _require_both_arms(data)
     sub = Dataset(data.y, data.a, data.x[:, [j - 1 for j in selected]])
     index = np.array([0] + selected, dtype=int)
 
     z, scales = _standardized_design(sub, opts)
-    n = sub.n
-    treated = sub.a == 1.0
-    z_t = z[treated]
-    z_c_sum = z[~treated].sum(axis=0)
     ridge = np.zeros(sub.p + 1)
     ridge[1:] = 2.0 * lambda_ridge
+    loss = _calibration_value_grad(z, sub.a)
 
-    def vgh(coef: np.ndarray):
-        u = z @ coef
-        with np.errstate(over="ignore"):
-            e_t = np.exp(-u[treated])
-        val = (float(e_t.sum()) + float(u[~treated].sum())) / n
+    def value_grad(coef: np.ndarray):
+        val, grad = loss(coef)
         val += 0.5 * float(ridge @ coef**2)
-        if not np.isfinite(val):
-            return val, None, None
-        grad = (z_c_sum - z_t.T @ e_t) / n + ridge * coef
-        hess = (z_t * e_t[:, None]).T @ z_t / n + np.diag(ridge)
-        return val, grad, hess
+        return val, None if grad is None else grad + ridge * coef
 
     x0 = np.zeros(sub.p + 1)
     abar = sub.a.mean()
     x0[0] = math.log(abar / (1.0 - abar))
     coef, res, n_iter = _newton(
-        vgh,
+        value_grad,
+        lambda coef: loss.hess(coef) + np.diag(ridge),
         x0,
         opts.tol,
         opts.max_iter or DEFAULT_NEWTON_ITER,

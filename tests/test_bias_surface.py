@@ -18,7 +18,8 @@ from pbrdr import (
     surface_dataset,
     target_mean,
 )
-from pbrdr.bias_surface import fit_scalar_calibration, fit_scalar_logistic_mle
+from pbrdr.bias_surface import _reference_slope
+from pbrdr.solvers import _calibration_value_grad, _logistic_value_grad
 
 
 def test_surface_dataset_first_moment():
@@ -69,12 +70,20 @@ def test_scalar_fits_satisfy_score_equations():
     data = surface_dataset(SurfaceDgp("fig1", 30_000, 3))
     x = data.x[:, 0]
     a = data.a
-    g_cal = fit_scalar_calibration(x, a)
+    g_cal = _reference_slope(_calibration_value_grad, x, a)
     pi = expit(g_cal * x)
     assert np.mean((1.0 - a / pi) * x) == pytest.approx(0.0, abs=1e-9)
-    g_mle = fit_scalar_logistic_mle(x, a)
+    g_mle = _reference_slope(_logistic_value_grad, x, a)
     pi_mle = expit(g_mle * x)
     assert np.mean((a - pi_mle) * x) == pytest.approx(0.0, abs=1e-9)
+
+
+def test_reference_fits_converge_at_float_noise_floor():
+    # at this seed the float noise floor of the calibration score is ~5e-10,
+    # so the reference fits must stop on a tolerance above it
+    grid = evaluate_surface(SurfaceDgp("fig2", 100_000, 1934987794), [0.0], [0.0])
+    assert all(math.isfinite(v) for v in grid.br_point)
+    assert all(math.isfinite(v) for v in grid.reference_biases.values())
 
 
 def test_surface_values_match_direct_plugin():

@@ -1,6 +1,8 @@
 """Estimator-level tests: influence identities, double-robustness algebra, the suite, ATE."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -298,6 +300,30 @@ def test_suite_shares_error_across_dependents():
     assert suite["MLE"].error == "Separation"
     assert suite["Pop-IPTW-MLE"].error == "Separation"
     assert suite["OR-OLS"].ok
+
+
+def test_suite_errors_do_not_keep_data_alive():
+    # a stored error holds no frames, so dropping the suite frees the dataset
+    # without the cyclic garbage collector
+    data = random_dataset(5, n=12, p=11)
+    ref = weakref.ref(data)
+    gc.disable()
+    try:
+        suite = estimate_suite(data, ["OR-OLS", "Pop-IPTW-MLE"])
+        assert suite["OR-OLS"].error == "RankDeficient"
+        del suite, data
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_ds_pbr_large_outcome_scale():
+    # the unpenalized normal equations of the refit are solved to float
+    # precision relative to the units of y
+    data = random_dataset(0)
+    entry = estimate_suite(Dataset(data.y * 1e8, data.a, data.x), ["DS-P-BR"])["DS-P-BR"]
+    assert entry.ok, entry.error
+    assert math.isfinite(entry.result.mu_hat)
 
 
 def test_estimate_one_raises(dataset):

@@ -350,6 +350,16 @@ def test_logistic_mle_separation():
         fit_logistic_mle(data)
 
 
+def test_logistic_mle_constant_covariate_is_rank_deficient():
+    # a constant column duplicates the intercept: Newton diverges along the
+    # null space, and the error names the collinearity, not separation
+    data = random_dataset(0, n=200, p=20)
+    x = data.x.copy()
+    x[:, 3] = 2.5
+    with pytest.raises(RankDeficient):
+        fit_logistic_mle(Dataset(data.y, data.a, x))
+
+
 def test_logistic_lasso_full_shrinkage(dataset):
     fit = fit_logistic_lasso(dataset, 5.0)
     assert fit.active_set == ()
@@ -572,6 +582,23 @@ def test_gradients_match_finite_differences(objective):
         g_fd = _fd_grad(fun, point)
         denom = max(1.0, float(np.max(np.abs(g_analytic))))
         assert np.max(np.abs(g_analytic - g_fd)) / denom <= 1e-5
+
+
+@pytest.mark.parametrize("objective", ["calibration", "logistic"])
+def test_hessians_match_finite_differences(objective):
+    from pbrdr.solvers import _calibration_value_grad, _logistic_value_grad
+
+    loss = _calibration_value_grad if objective == "calibration" else _logistic_value_grad
+    rng = np.random.default_rng(18)
+    data = random_dataset(99, n=90, p=4)
+    vg = loss(data.design(), data.a)
+    for _ in range(20):
+        point = 0.5 * rng.standard_normal(5)
+        h_analytic = vg.hess(point)
+        h_fd = np.column_stack([_fd_grad(lambda c: vg(c)[1][j], point) for j in range(5)])
+        assert np.allclose(h_analytic, h_analytic.T)
+        denom = max(1.0, float(np.max(np.abs(h_analytic))))
+        assert np.max(np.abs(h_analytic - h_fd)) / denom <= 1e-5
 
 
 # ---------------------------------------------------------------------------
