@@ -52,9 +52,8 @@ from .simulation import (
     serialize_config,
 )
 from .solvers import (
+    Coefficients,
     NuisanceFit,
-    OutcomeCoefficients,
-    PropensityCoefficients,
     SolverOptions,
     default_penalties,
     fit_br_refit,

@@ -43,6 +43,7 @@ from scipy.special import expit
 
 from .dataset import Dataset
 from .errors import ConfigError, UnboundedObjective
+from .estimators import POSITIVITY_THRESHOLD
 from .simulation import _oracle_mean
 from .solvers import (
     DEFAULT_NEWTON_ITER,
@@ -55,10 +56,6 @@ from .solvers import (
 REFERENCE_TAGS = ("BR", "MLE-DR", "IPW", "IMP")
 
 _MU0_ORACLE_SEED = 771_100
-
-# Fitted propensities below this value on treated units mark the grid cell
-# as unevaluable (NaN) rather than aborting the surface.
-_CELL_POSITIVITY = 1e-6
 
 VARIANTS = ("fig1", "fig2")
 
@@ -180,8 +177,8 @@ def evaluate_surface(dgp: SurfaceDgp, gamma_grid, beta_grid) -> SurfaceGrid:
     raw = np.full((gamma_grid.size, beta_grid.size), np.nan)
     for i, gs in enumerate(gamma_grid):
         pi_t = expit(gs * x[treated])
-        if np.min(pi_t) < _CELL_POSITIVITY:
-            continue  # row marked NaN: weights would explode here
+        if np.min(pi_t) < POSITIVITY_THRESHOLD:
+            continue  # row marked NaN rather than aborting: weights would explode here
         inv_pi_t = 1.0 / pi_t
         # mean(U) = bs * t1 + t2 as a function of the outcome slope bs.
         t1 = (x_sum - float(x[treated] @ inv_pi_t)) / n

@@ -24,9 +24,8 @@ from scipy.special import expit
 from .dataset import Dataset
 from .errors import ConfigError, DegenerateData, PbrdrError, PositivityViolation, RankDeficient
 from .solvers import (
+    Coefficients,
     NuisanceFit,
-    OutcomeCoefficients,
-    PropensityCoefficients,
     SolverOptions,
     default_penalties,
     fit_br_refit,
@@ -160,8 +159,8 @@ def influence_values(
     positivity guard applies there alone.
     """
     treated = data.a == 1.0
-    pi = _propensities(data, fit.gamma.gamma, treated, clip_positivity)
-    m = data.design() @ fit.beta.beta
+    pi = _propensities(data, fit.gamma.coef, treated, clip_positivity)
+    m = data.design() @ fit.beta.coef
     u = m.copy()
     u[treated] += (data.y[treated] - m[treated]) / pi[treated]
     return u
@@ -176,28 +175,28 @@ def dr_estimate(
 
 
 def or_estimate(
-    data: Dataset, beta: OutcomeCoefficients, estimator: str = "OR"
+    data: Dataset, beta: Coefficients, estimator: str = "OR"
 ) -> EstimateResult:
     """Outcome-regression estimate: mean of fitted values over all units.
 
     The reported SE is the sample SD of the fitted values over sqrt(n); it
     ignores the estimation of the coefficients and carries the naive flag.
     """
-    if not np.all(np.isfinite(beta.beta)):
+    if not np.all(np.isfinite(beta.coef)):
         raise ValueError("beta must be finite")
-    fitted = data.design() @ beta.beta
+    fitted = data.design() @ beta.coef
     return _result_from_influence(fitted, estimator, se_is_naive=True)
 
 
 def iptw_estimate(
     data: Dataset,
-    gamma: PropensityCoefficients,
+    gamma: Coefficients,
     estimator: str = "IPTW",
     clip_positivity: bool = False,
 ) -> EstimateResult:
     """Unnormalized inverse-probability estimate ``(1/n) sum_i A_i y_i / pi_i``."""
     treated = data.a == 1.0
-    pi = _propensities(data, gamma.gamma, treated, clip_positivity)
+    pi = _propensities(data, gamma.coef, treated, clip_positivity)
     u = np.zeros(data.n)
     u[treated] = data.y[treated] / pi[treated]
     return _result_from_influence(u, estimator, se_is_naive=True)
@@ -205,7 +204,7 @@ def iptw_estimate(
 
 def pop_iptw_estimate(
     data: Dataset,
-    gamma: PropensityCoefficients,
+    gamma: Coefficients,
     estimator: str = "Pop-IPTW",
     clip_positivity: bool = False,
 ) -> EstimateResult:
@@ -217,7 +216,7 @@ def pop_iptw_estimate(
     its mean reproduces the estimate exactly.
     """
     treated = data.a == 1.0
-    pi = _propensities(data, gamma.gamma, treated, clip_positivity)
+    pi = _propensities(data, gamma.coef, treated, clip_positivity)
     w = np.zeros(data.n)
     w[treated] = 1.0 / pi[treated]
     w_total = float(w.sum())
@@ -260,28 +259,18 @@ def estimate_pbr(
     DR plug-in. The returned result carries the nuisance fit (both active
     sets) in ``fit``.
     """
-    lam_gamma, lam_beta = penalties or default_penalties(data.n, max(data.p, 1))
-    gamma = fit_calibration_lasso(data, lam_gamma, opts)
-    lam_eff = _weight_normalized_level(data, gamma.gamma, lam_beta)
-    beta = fit_weighted_outcome_lasso(data, gamma, lam_eff, opts)
-    return dr_estimate(data, NuisanceFit(gamma, beta, "P-BR"))
+    return estimate_one(data, "P-BR", opts, penalties)
 
 
 def estimate_ds_pbr(
     data: Dataset,
     opts: Optional[SolverOptions] = None,
     penalties: Optional[Tuple[float, float]] = None,
-    pbr_fit: Optional[NuisanceFit] = None,
 ) -> EstimateResult:
     """Double-selection variant: refit the bias-reduced system without l1 penalty
     on the union of the covariates selected by the P-BR stage, keeping a ridge
     term on the propensity equation for numerical stability."""
-    lam_gamma, _ = penalties or default_penalties(data.n, max(data.p, 1))
-    if pbr_fit is None:
-        pbr_fit = estimate_pbr(data, opts, penalties).fit
-    union = sorted(set(pbr_fit.gamma.active_set) | set(pbr_fit.beta.active_set))
-    refit = fit_br_refit(data, union, lam_gamma, opts)
-    return dr_estimate(data, refit)
+    return estimate_one(data, "DS-P-BR", opts, penalties)
 
 
 def _suite_builders(data: Dataset, opts, lam_gamma: float, lam_beta: float):
@@ -325,13 +314,13 @@ def _suite_builders(data: Dataset, opts, lam_gamma: float, lam_beta: float):
     def b_pbr():
         def build():
             gamma = g_pbr()
-            lam_eff = _weight_normalized_level(data, gamma.gamma, lam_beta)
+            lam_eff = _weight_normalized_level(data, gamma.coef, lam_beta)
             return fit_weighted_outcome_lasso(data, gamma, lam_eff, opts)
 
         return shared("b_pbr", build)
 
-    def lasso_union():
-        return sorted(set(g_lasso().active_set) | set(b_lasso().active_set))
+    def union(g, b):
+        return sorted(set(g().active_set) | set(b().active_set))
 
     return {
         "OR-OLS": lambda: or_estimate(data, b_ols(), "OR-OLS"),
@@ -361,21 +350,18 @@ def _suite_builders(data: Dataset, opts, lam_gamma: float, lam_beta: float):
             NuisanceFit(
                 shared(
                     "g_ds",
-                    lambda: post_lasso_refit(data, lasso_union(), "propensity", opts),
+                    lambda: post_lasso_refit(data, union(g_lasso, b_lasso), "propensity", opts),
                 ),
                 shared(
                     "b_ds",
-                    lambda: post_lasso_refit(data, lasso_union(), "outcome", opts),
+                    lambda: post_lasso_refit(data, union(g_lasso, b_lasso), "outcome", opts),
                 ),
                 "DS-LASSO",
             ),
         ),
         "P-BR": lambda: dr_estimate(data, NuisanceFit(g_pbr(), b_pbr(), "P-BR")),
-        "DS-P-BR": lambda: estimate_ds_pbr(
-            data,
-            opts,
-            (lam_gamma, lam_beta),
-            pbr_fit=NuisanceFit(g_pbr(), b_pbr(), "P-BR"),
+        "DS-P-BR": lambda: dr_estimate(
+            data, fit_br_refit(data, union(g_pbr, b_pbr), lam_gamma, opts)
         ),
     }
 

@@ -13,6 +13,8 @@ Two fitters carry the method itself:
 Around them sit the standard fitters used by the comparator estimators
 (logistic MLE, OLS, plain lasso variants, post-selection refits, the
 ridge-stabilised double-selection system) and the default penalty formulas.
+Every fitter returns a :class:`Coefficients` (``fit_br_refit`` a
+:class:`NuisanceFit` holding two of them).
 
 Conventions shared by every fitter:
 
@@ -29,7 +31,7 @@ Conventions shared by every fitter:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -84,44 +86,36 @@ DEFAULT_OPTIONS = SolverOptions()
 
 
 @dataclass
-class PropensityCoefficients:
-    """Fitted propensity model coefficients (intercept first).
+class Coefficients:
+    """Fitted coefficients of one nuisance model (intercept first), the penalty
+    level they were fit at, and the solver's convergence record.
 
     ``active_set`` holds the positions ``j >= 1`` in the coefficient vector
     with a nonzero value (the intercept is excluded), so covariate column
     ``j - 1`` of the data corresponds to entry ``j``.
     """
 
-    gamma: np.ndarray
-    lambda_gamma: float
-    active_set: tuple[int, ...]
+    coef: np.ndarray
+    lam: float
     kkt_residual: float
     n_iter: int = 0
     objective_trace: Optional[np.ndarray] = field(default=None, repr=False)
 
-
-@dataclass
-class OutcomeCoefficients:
-    """Fitted outcome model coefficients; same shape rules as the propensity fit."""
-
-    beta: np.ndarray
-    lambda_beta: float
-    active_set: tuple[int, ...]
-    kkt_residual: float
-    n_iter: int = 0
-    objective_trace: Optional[np.ndarray] = field(default=None, repr=False)
+    @property
+    def active_set(self) -> tuple[int, ...]:
+        return tuple(int(j) + 1 for j in np.flatnonzero(self.coef[1:]))
 
 
 @dataclass
 class NuisanceFit:
     """A paired propensity/outcome fit plus the label of the method that produced it."""
 
-    gamma: PropensityCoefficients
-    beta: OutcomeCoefficients
+    gamma: Coefficients
+    beta: Coefficients
     method: str
 
     def __post_init__(self) -> None:
-        if self.gamma.gamma.shape != self.beta.beta.shape:
+        if self.gamma.coef.shape != self.beta.coef.shape:
             raise ValueError("propensity and outcome coefficient vectors must have equal length")
 
 
@@ -190,8 +184,11 @@ def _penalized_mask(dim: int, opts: SolverOptions) -> np.ndarray:
     return mask
 
 
-def _active_set(coef: np.ndarray) -> tuple[int, ...]:
-    return tuple(int(j) for j in range(1, coef.shape[0]) if coef[j] != 0.0)
+def _embed(fit: Coefficients, index: list[int], dim: int) -> Coefficients:
+    """A fit on the design columns ``index`` as a zero-padded length-``dim`` fit."""
+    coef = np.zeros(dim)
+    coef[index] = fit.coef
+    return replace(fit, coef=coef)
 
 
 def _kkt_sup_norm(grad: np.ndarray, coef: np.ndarray, lam: float, penalized: np.ndarray) -> float:
@@ -317,7 +314,10 @@ def _cd_quadratic(gram, lin, lam, penalized, x0, tol, max_sweeps):
 
     ``gram``/``lin`` are on the mean scale, so the stationarity system is the
     mean-scale estimating equation. Returns (x, kkt, sweeps, objective_trace).
+    The stopping residual is floored at 64 ulps of ``max|lin|``: below that
+    it is float noise in the units of y.
     """
+    tol = max(tol, 64.0 * np.finfo(float).eps * float(np.max(np.abs(lin))))
     x = np.array(x0, dtype=float)
     dim = x.shape[0]
     diag = np.diag(gram).copy()
@@ -467,7 +467,7 @@ def _require_both_arms(data: Dataset) -> None:
 
 def _fit_propensity_lasso(
     loss: Callable, data: Dataset, lam: float, opts: Optional[SolverOptions]
-) -> PropensityCoefficients:
+) -> Coefficients:
     """Proximal-gradient fit of ``loss(z, a)`` plus ``lam * ||g||_1``, started
     at the intercept-only logit of the treated fraction."""
     opts = opts or DEFAULT_OPTIONS
@@ -485,12 +485,12 @@ def _fit_propensity_lasso(
         loss(z, data.a), x0, lam, mask, opts.tol, opts.max_iter or DEFAULT_PROX_ITER
     )
     gamma = _back_transform(coef, scales)
-    return PropensityCoefficients(gamma, lam, _active_set(gamma), kkt, n_iter, trace)
+    return Coefficients(gamma, lam, kkt, n_iter, trace)
 
 
 def fit_calibration_lasso(
     data: Dataset, lambda_gamma: float, opts: Optional[SolverOptions] = None
-) -> PropensityCoefficients:
+) -> Coefficients:
     """Fit the propensity model by the l1-penalised calibration loss.
 
     Minimises ``(1/n) sum_i [A_i exp(-g.z_i) + (1-A_i) g.z_i] + lam ||g||_1``
@@ -505,14 +505,16 @@ def fit_calibration_lasso(
 
 def fit_logistic_lasso(
     data: Dataset, lam: float, opts: Optional[SolverOptions] = None
-) -> PropensityCoefficients:
+) -> Coefficients:
     """l1-penalised logistic maximum likelihood for the propensity model."""
     return _fit_propensity_lasso(_logistic_value_grad, data, lam, opts)
 
 
 # Treated propensities this close to 0 (or exactly 1 in float) break the
 # inverse-odds weights: the weighted quadratic is then conditioned beyond
-# float64 resolution.
+# float64 resolution. This is a numerical guard inside the outcome fit, far
+# below ``estimators.POSITIVITY_THRESHOLD`` (1e-6), the modelling limit at
+# which the estimators refuse to divide by a fitted propensity.
 _WEIGHT_DEGENERACY = 1e-12
 
 
@@ -535,7 +537,7 @@ def _weighted_lasso(
     weights: np.ndarray,
     lam: float,
     opts: SolverOptions,
-) -> OutcomeCoefficients:
+) -> Coefficients:
     """Shared core: minimise ``(1/2n) sum_i W_i (y_i - b.z_i)^2 + lam ||b||_1``.
 
     ``n`` is the full number of rows regardless of how many carry weight, so a
@@ -561,7 +563,7 @@ def _weighted_lasso(
                 f"normal equations could not be solved to tolerance (residual {kkt:.3e})"
             )
         beta = _back_transform(coef, scales)
-        return OutcomeCoefficients(beta, 0.0, _active_set(beta), kkt, 1, None)
+        return Coefficients(beta, 0.0, kkt, 1)
     x0 = np.zeros(data.p + 1)
     if gram[0, 0] > 0.0:
         x0[0] = lin[0] / gram[0, 0]
@@ -569,15 +571,15 @@ def _weighted_lasso(
         gram, lin, lam, mask, x0, opts.tol, opts.max_iter or DEFAULT_CD_SWEEPS
     )
     beta = _back_transform(coef, scales)
-    return OutcomeCoefficients(beta, lam, _active_set(beta), kkt, sweeps, trace)
+    return Coefficients(beta, lam, kkt, sweeps, trace)
 
 
 def fit_weighted_outcome_lasso(
     data: Dataset,
-    gamma_hat: PropensityCoefficients,
+    gamma_hat: Coefficients,
     lambda_beta: float,
     opts: Optional[SolverOptions] = None,
-) -> OutcomeCoefficients:
+) -> Coefficients:
     """Fit the outcome model by inverse-odds-weighted l1-penalised least squares.
 
     The weights ``w_i = (1 - pi_i)/pi_i`` come from the supplied propensity
@@ -590,9 +592,9 @@ def fit_weighted_outcome_lasso(
         raise ValueError("lambda_beta must be nonnegative")
     if data.n_treated == 0:
         raise DegenerateData("no treated units; the outcome model cannot be fit")
-    if not np.all(np.isfinite(gamma_hat.gamma)):
+    if not np.all(np.isfinite(gamma_hat.coef)):
         raise ValueError("gamma_hat must be finite")
-    weights = _inverse_odds_weights(data, gamma_hat.gamma)
+    weights = _inverse_odds_weights(data, gamma_hat.coef)
     return _weighted_lasso(data, weights, lambda_beta, opts)
 
 
@@ -601,7 +603,7 @@ def fit_linear_lasso(
     lam: float,
     treated_only: bool,
     opts: Optional[SolverOptions] = None,
-) -> OutcomeCoefficients:
+) -> Coefficients:
     """Plain (unweighted) l1-penalised least squares, optionally on the treated subsample.
 
     Unit weights: the objective is ``(1/2n) sum_i A_i (y_i - b.z_i)^2 + lam ||b||_1``
@@ -617,7 +619,7 @@ def fit_linear_lasso(
     return _weighted_lasso(data, weights, lam, opts)
 
 
-def fit_logistic_mle(data: Dataset, opts: Optional[SolverOptions] = None) -> PropensityCoefficients:
+def fit_logistic_mle(data: Dataset, opts: Optional[SolverOptions] = None) -> Coefficients:
     """Unpenalized logistic maximum likelihood via damped Newton iterations.
 
     Divergent coefficients (norm above the guard on the standardized scale)
@@ -648,10 +650,10 @@ def fit_logistic_mle(data: Dataset, opts: Optional[SolverOptions] = None) -> Pro
             raise RankDeficient("design is rank deficient; the logistic MLE is not identified") from None
         raise
     gamma = _back_transform(coef, scales)
-    return PropensityCoefficients(gamma, 0.0, _active_set(gamma), res, n_iter, None)
+    return Coefficients(gamma, 0.0, res, n_iter)
 
 
-def fit_ols(data: Dataset, treated_only: bool) -> OutcomeCoefficients:
+def fit_ols(data: Dataset, treated_only: bool) -> Coefficients:
     """Ordinary least squares, optionally on the treated subsample.
 
     The design must have full column rank on the relevant subsample.
@@ -671,7 +673,7 @@ def fit_ols(data: Dataset, treated_only: bool) -> OutcomeCoefficients:
         raise RankDeficient("design matrix is rank deficient on the fitting subsample")
     resid = y - z @ coef
     kkt = float(np.max(np.abs(z.T @ resid))) / m
-    return OutcomeCoefficients(coef, 0.0, _active_set(coef), kkt, 1, None)
+    return Coefficients(coef, 0.0, kkt, 1)
 
 
 def post_lasso_refit(
@@ -679,7 +681,7 @@ def post_lasso_refit(
     active_union: Iterable[int],
     which: str,
     opts: Optional[SolverOptions] = None,
-):
+) -> Coefficients:
     """Refit an unpenalized model on the selected covariates only.
 
     ``active_union`` holds coefficient positions ``1..p``; excluded
@@ -698,16 +700,8 @@ def post_lasso_refit(
         raise RankDeficient(
             f"{len(selected)} selected covariates cannot be refit on {relevant} observations"
         )
-    index = np.array([0] + selected, dtype=int)
-    if which == "propensity":
-        fit = fit_logistic_mle(sub, opts)
-        gamma = np.zeros(data.p + 1)
-        gamma[index] = fit.gamma
-        return PropensityCoefficients(gamma, 0.0, _active_set(gamma), fit.kkt_residual, fit.n_iter, None)
-    fit = fit_ols(sub, treated_only=True)
-    beta = np.zeros(data.p + 1)
-    beta[index] = fit.beta
-    return OutcomeCoefficients(beta, 0.0, _active_set(beta), fit.kkt_residual, fit.n_iter, None)
+    fit = fit_logistic_mle(sub, opts) if which == "propensity" else fit_ols(sub, treated_only=True)
+    return _embed(fit, [0] + selected, data.p + 1)
 
 
 def fit_br_refit(
@@ -737,7 +731,6 @@ def fit_br_refit(
         raise ValueError(f"selected entries must lie in 1..{data.p}")
     _require_both_arms(data)
     sub = Dataset(data.y, data.a, data.x[:, [j - 1 for j in selected]])
-    index = np.array([0] + selected, dtype=int)
 
     z, scales = _standardized_design(sub, opts)
     ridge = np.zeros(sub.p + 1)
@@ -761,15 +754,11 @@ def fit_br_refit(
         UnboundedObjective("ridge-stabilised propensity solve diverged"),
     )
     gamma_sub = _back_transform(coef, scales)
-    gamma = np.zeros(data.p + 1)
-    gamma[index] = gamma_sub
-    gamma_fit = PropensityCoefficients(gamma, lambda_ridge, _active_set(gamma), res, n_iter, None)
-
     weights = _inverse_odds_weights(sub, gamma_sub)
     beta_sub = _weighted_lasso(sub, weights, 0.0, opts)
-    beta = np.zeros(data.p + 1)
-    beta[index] = beta_sub.beta
-    beta_fit = OutcomeCoefficients(
-        beta, 0.0, _active_set(beta), beta_sub.kkt_residual, beta_sub.n_iter, None
+    index = [0] + selected
+    return NuisanceFit(
+        _embed(Coefficients(gamma_sub, lambda_ridge, res, n_iter), index, data.p + 1),
+        _embed(beta_sub, index, data.p + 1),
+        "DS-P-BR",
     )
-    return NuisanceFit(gamma_fit, beta_fit, "DS-P-BR")

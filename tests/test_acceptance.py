@@ -33,8 +33,7 @@ from pbrdr import (
     run_monte_carlo,
 )
 from pbrdr.solvers import (
-    OutcomeCoefficients,
-    PropensityCoefficients,
+    Coefficients,
     _calibration_value_grad,
     _logistic_value_grad,
 )
@@ -228,13 +227,13 @@ def test_criterion_6_kkt_property_suite():
         data = random_dataset(1000 + k, n=n, p=p)
         gamma = fit_calibration_lasso(data, lam, RAW)
         z = data.design()
-        pi = expit(z @ gamma.gamma)
+        pi = expit(z @ gamma.coef)
         score_g = z.T @ (1.0 - data.a / pi) / n
-        worst_f1 = max(worst_f1, _stationarity_violation(score_g, gamma.gamma, lam))
+        worst_f1 = max(worst_f1, _stationarity_violation(score_g, gamma.coef, lam))
         beta = fit_weighted_outcome_lasso(data, gamma, lam, RAW)
-        w = np.where(data.a == 1.0, np.exp(-(z @ gamma.gamma)), 0.0)
-        grad_b = -z.T @ (w * (data.y - z @ beta.beta)) / n
-        worst_f2 = max(worst_f2, _stationarity_violation(grad_b, beta.beta, lam))
+        w = np.where(data.a == 1.0, np.exp(-(z @ gamma.coef)), 0.0)
+        grad_b = -z.T @ (w * (data.y - z @ beta.coef)) / n
+        worst_f2 = max(worst_f2, _stationarity_violation(grad_b, beta.coef, lam))
         if lam == 0.0:
             worst_exact = max(
                 worst_exact, float(np.max(np.abs(score_g))), float(np.max(np.abs(grad_b)))
@@ -260,7 +259,7 @@ def test_criterion_7_oracle_equivalences():
     # weights exactly, so every coordinate separates
     rng = np.random.default_rng(707)
     n, p = 120, 5
-    gamma = PropensityCoefficients(np.zeros(p + 1), 0.0, (), 0.0)
+    gamma = Coefficients(np.zeros(p + 1), 0.0, 0.0)
     worst_soft = 0.0
     for _ in range(5):
         basis, _ = np.linalg.qr(np.hstack([np.ones((n, 1)), rng.standard_normal((n, p))]))
@@ -276,7 +275,7 @@ def test_criterion_7_oracle_equivalences():
         expected[0] = lin[0] / gram_diag[0]
         for j in range(1, p + 1):
             expected[j] = math.copysign(max(abs(lin[j]) - lam, 0.0), lin[j]) / gram_diag[j]
-        worst_soft = max(worst_soft, float(np.max(np.abs(fit.beta - expected))))
+        worst_soft = max(worst_soft, float(np.max(np.abs(fit.coef - expected))))
 
     # (b) metric computation vs a naive two-pass reference
     est = list(rng.normal(3.0, 1.5, size=51))
@@ -347,17 +346,17 @@ def test_criterion_8_double_robustness_algebra():
         z = np.hstack([np.ones((n, 1)), x])
         beta_vec = rng.standard_normal(p + 1)
         gamma_vec = 0.6 * rng.standard_normal(p + 1)
-        g = PropensityCoefficients(gamma_vec, 0.0, (), 0.0)
+        g = Coefficients(gamma_vec, 0.0, 0.0)
         # (a) outcome model interpolating treated units: DR == OR
         y = z @ beta_vec
         data = Dataset(y, a, x)
-        b = OutcomeCoefficients(beta_vec, 0.0, (), 0.0)
+        b = Coefficients(beta_vec, 0.0, 0.0)
         dr = dr_estimate(data, NuisanceFit(g, b, "MLE"))
         orr = or_estimate(data, b)
         worst_or = max(worst_or, abs(dr.mu_hat - orr.mu_hat))
         # (b) outcome model identically zero: DR == IPTW
         data2 = Dataset(rng.standard_normal(n), a, x)
-        b0 = OutcomeCoefficients(np.zeros(p + 1), 0.0, (), 0.0)
+        b0 = Coefficients(np.zeros(p + 1), 0.0, 0.0)
         dr2 = dr_estimate(data2, NuisanceFit(g, b0, "MLE"))
         ipw = iptw_estimate(data2, g)
         worst_iptw = max(worst_iptw, abs(dr2.mu_hat - ipw.mu_hat))

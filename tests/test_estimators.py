@@ -28,15 +28,13 @@ from pbrdr import (
     or_estimate,
     pop_iptw_estimate,
 )
-from pbrdr.solvers import OutcomeCoefficients, PropensityCoefficients, fit_ols
+from pbrdr.solvers import Coefficients, fit_ols
 
 
 def make_fit(gamma, beta, method="MLE"):
     gamma = np.asarray(gamma, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    g = PropensityCoefficients(gamma, 0.0, tuple(j for j in range(1, len(gamma)) if gamma[j] != 0), 0.0)
-    b = OutcomeCoefficients(beta, 0.0, tuple(j for j in range(1, len(beta)) if beta[j] != 0), 0.0)
-    return NuisanceFit(g, b, method)
+    return NuisanceFit(Coefficients(gamma, 0.0, 0.0), Coefficients(beta, 0.0, 0.0), method)
 
 
 def random_fit(rng, p, method="MLE"):
@@ -52,7 +50,7 @@ def test_influence_untreated_units_are_fitted_values(dataset):
     rng = np.random.default_rng(0)
     fit = random_fit(rng, dataset.p)
     u = influence_values(dataset, fit)
-    m = dataset.design() @ fit.beta.beta
+    m = dataset.design() @ fit.beta.coef
     untreated = dataset.a == 0.0
     assert np.array_equal(u[untreated], m[untreated])
 
@@ -165,7 +163,7 @@ def test_constant_influence_zero_width_ci():
 
 
 def test_or_estimate_constant_model(dataset):
-    beta = OutcomeCoefficients(np.array([2.5] + [0.0] * dataset.p), 0.0, (), 0.0)
+    beta = Coefficients(np.array([2.5] + [0.0] * dataset.p), 0.0, 0.0)
     res = or_estimate(dataset, beta)
     assert res.mu_hat == pytest.approx(2.5, abs=1e-12)
     assert res.se_is_naive
@@ -192,7 +190,7 @@ def test_iptw_constant_weights():
     y = rng.standard_normal(n) + 2.0
     data = Dataset(y, a, np.zeros((n, 0)))
     abar = a.mean()
-    gamma = PropensityCoefficients(np.array([math.log(abar / (1 - abar))]), 0.0, (), 0.0)
+    gamma = Coefficients(np.array([math.log(abar / (1 - abar))]), 0.0, 0.0)
     res = iptw_estimate(data, gamma)
     expected = y[a == 1.0].mean() * (a.sum() / (n * abar))
     assert res.mu_hat == pytest.approx(expected, abs=1e-10)
@@ -205,7 +203,7 @@ def test_pop_iptw_constant_weights_gives_treated_mean():
     a = (rng.random(n) < 0.5).astype(float)
     y = rng.standard_normal(n)
     data = Dataset(y, a, np.zeros((n, 0)))
-    gamma = PropensityCoefficients(np.array([0.3]), 0.0, (), 0.0)
+    gamma = Coefficients(np.array([0.3]), 0.0, 0.0)
     res = pop_iptw_estimate(data, gamma)
     assert res.mu_hat == pytest.approx(y[a == 1.0].mean(), abs=1e-12)
 
@@ -213,7 +211,7 @@ def test_pop_iptw_constant_weights_gives_treated_mean():
 def test_pop_iptw_constant_outcome(dataset):
     rng = np.random.default_rng(9)
     data = Dataset(np.full(dataset.n, -1.7), dataset.a, dataset.x)
-    gamma = PropensityCoefficients(0.3 * rng.standard_normal(dataset.p + 1), 0.0, (), 0.0)
+    gamma = Coefficients(0.3 * rng.standard_normal(dataset.p + 1), 0.0, 0.0)
     res = pop_iptw_estimate(data, gamma)
     assert res.mu_hat == pytest.approx(-1.7, abs=1e-12)
 
@@ -222,7 +220,7 @@ def test_pop_iptw_constant_outcome(dataset):
 def test_pop_iptw_location_equivariance(shift):
     data = random_dataset(11, n=80, p=2)
     rng = np.random.default_rng(12)
-    gamma = PropensityCoefficients(0.3 * rng.standard_normal(3), 0.0, (), 0.0)
+    gamma = Coefficients(0.3 * rng.standard_normal(3), 0.0, 0.0)
     base = pop_iptw_estimate(data, gamma)
     shifted = pop_iptw_estimate(Dataset(data.y + shift, data.a, data.x), gamma)
     assert shifted.mu_hat == pytest.approx(base.mu_hat + shift, abs=1e-9)
@@ -233,12 +231,12 @@ def test_dr_or_plus_weighted_residual_oracle(dataset):
     # verified by direct summation
     rng = np.random.default_rng(13)
     beta = fit_ols(dataset, treated_only=True)
-    gamma = PropensityCoefficients(0.4 * rng.standard_normal(dataset.p + 1), 0.0, (), 0.0)
+    gamma = Coefficients(0.4 * rng.standard_normal(dataset.p + 1), 0.0, 0.0)
     fit = NuisanceFit(gamma, beta, "MLE")
     res = dr_estimate(dataset, fit)
     z = dataset.design()
-    m = z @ beta.beta
-    pi = expit(z @ gamma.gamma)
+    m = z @ beta.coef
+    pi = expit(z @ gamma.coef)
     direct = 0.0
     for i in range(dataset.n):
         direct += m[i]
@@ -317,11 +315,12 @@ def test_suite_errors_do_not_keep_data_alive():
         gc.enable()
 
 
-def test_ds_pbr_large_outcome_scale():
-    # the unpenalized normal equations of the refit are solved to float
-    # precision relative to the units of y
-    data = random_dataset(0)
-    entry = estimate_suite(Dataset(data.y * 1e8, data.a, data.x), ["DS-P-BR"])["DS-P-BR"]
+@pytest.mark.parametrize("seed, tag", [(0, "DS-P-BR"), (2, "LASSO")], ids=["DS-P-BR", "LASSO"])
+def test_ds_pbr_large_outcome_scale(seed, tag):
+    # the unpenalized normal equations of the refit and the lasso outcome fits
+    # are solved to float precision relative to the units of y
+    data = random_dataset(seed)
+    entry = estimate_suite(Dataset(data.y * 1e8, data.a, data.x), [tag])[tag]
     assert entry.ok, entry.error
     assert math.isfinite(entry.result.mu_hat)
 
@@ -338,7 +337,7 @@ def test_pbr_carries_active_sets(dataset):
     res = estimate_pbr(dataset)
     assert res.fit.method == "P-BR"
     assert res.fit.gamma.active_set == tuple(
-        j for j in range(1, dataset.p + 1) if res.fit.gamma.gamma[j] != 0.0
+        j for j in range(1, dataset.p + 1) if res.fit.gamma.coef[j] != 0.0
     )
 
 

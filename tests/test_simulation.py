@@ -1,17 +1,20 @@
 """Data-generating processes, metrics, the Monte Carlo runner, and config files."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from pbrdr import (
+    DEFAULT_ROSTER,
     ConfigError,
     DimensionError,
     ScenarioSpec,
     compute_metrics,
     gen_covariates,
+    parse_config,
     parse_config_text,
     run_monte_carlo,
     scenario1_model,
@@ -384,6 +387,26 @@ def test_config_missing_key():
     with pytest.raises(ConfigError) as err:
         parse_config_text(text)
     assert "seed" in str(err.value)
+
+
+def test_shipped_configs_expand_to_the_experiment_cells():
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    parsed = {path.name: parse_config(path) for path in sorted(configs.glob("*.cfg"))}
+    grid = [
+        (ScenarioSpec(s, 200, 40, corr, oc, pc, 500, 20260808), DEFAULT_ROSTER)
+        for s in ("S1", "S2")
+        for corr in (False, True)
+        for oc in (True, False)
+        for pc in (True, False)
+    ]
+    sweep_tags = ("P-BR", "LASSO", "MLE", "DS-P-BR", "DS-LASSO")
+    sweep = [
+        (ScenarioSpec("S1", n, 40, False, oc, True, 500, 20260808), sweep_tags)
+        for n in (200, 400, 600, 800, 1000, 1500, 2000)
+        for oc in (True, False)
+    ]
+    assert parsed == {"benchmark_cells.cfg": grid, "sample_size_sweep.cfg": sweep}
+    assert (len(grid), len(sweep)) == (16, 14)
 
 
 def test_cell_name_format():

@@ -155,7 +155,7 @@ def test_calibration_intercept_only():
     a = (rng.random(60) < 0.35).astype(float)
     data = Dataset(rng.standard_normal(60), a, np.zeros((60, 0)))
     fit = fit_calibration_lasso(data, 0.0)
-    assert expit(fit.gamma[0]) == pytest.approx(a.mean(), abs=1e-8)
+    assert expit(fit.coef[0]) == pytest.approx(a.mean(), abs=1e-8)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -163,16 +163,16 @@ def test_calibration_intercept_only():
 def test_calibration_kkt(seed, lam):
     data = random_dataset(seed, n=150, p=6)
     fit = fit_calibration_lasso(data, lam, RAW)
-    score = calibration_score(data, fit.gamma)
-    assert l1_violation(score, fit.gamma, lam) <= lam * 1e-4 + 1e-8
-    assert fit.active_set == tuple(j for j in range(1, 7) if fit.gamma[j] != 0.0)
+    score = calibration_score(data, fit.coef)
+    assert l1_violation(score, fit.coef, lam) <= lam * 1e-4 + 1e-8
+    assert fit.active_set == tuple(j for j in range(1, 7) if fit.coef[j] != 0.0)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_calibration_identity(seed):
     data = random_dataset(seed, n=120, p=4)
     fit = fit_calibration_lasso(data, 0.1)
-    pi = expit(data.design() @ fit.gamma)
+    pi = expit(data.design() @ fit.coef)
     assert np.mean(data.a / pi) == pytest.approx(1.0, abs=1e-7)
 
 
@@ -191,8 +191,8 @@ def test_calibration_error_shrinks_with_n():
         small = Dataset(data.y[:200], data.a[:200], data.x[:200])
         f_small = fit_calibration_lasso(small, lam_small)
         f_large = fit_calibration_lasso(data, lam_large)
-        err_small.append(np.linalg.norm(f_small.gamma - g_true))
-        err_large.append(np.linalg.norm(f_large.gamma - g_true))
+        err_small.append(np.linalg.norm(f_small.coef - g_true))
+        err_large.append(np.linalg.norm(f_large.coef - g_true))
     assert np.mean(err_large) < np.mean(err_small)
 
 
@@ -235,11 +235,11 @@ def test_coordinate_descent_objective_trace_monotone(dataset):
 
 
 def _unit_gamma(p):
-    from pbrdr.solvers import PropensityCoefficients
+    from pbrdr.solvers import Coefficients
 
     g = np.zeros(p + 1)
     g[0] = 40.0  # pi ~ 1, so w = exp(-u) ~ 0; not used by these tests
-    return PropensityCoefficients(g, 0.0, (), 0.0)
+    return Coefficients(g, 0.0, 0.0)
 
 
 def test_weighted_lasso_soft_threshold_oracle():
@@ -255,12 +255,12 @@ def test_weighted_lasso_soft_threshold_oracle():
     # closed form: soft threshold of the OLS slope
     b_ols = float(x @ (y - y.mean())) / float(x @ x)
     expected = math.copysign(max(abs(b_ols) - n * lam / float(x @ x), 0.0), b_ols)
-    assert fit.beta[1] == pytest.approx(expected, abs=1e-8)
+    assert fit.coef[1] == pytest.approx(expected, abs=1e-8)
     # brute-force 1-D grid minimizer of the objective around the solution
-    grid = np.linspace(fit.beta[1] - 0.05, fit.beta[1] + 0.05, 2001)
-    b0 = fit.beta[0]
+    grid = np.linspace(fit.coef[1] - 0.05, fit.coef[1] + 0.05, 2001)
+    b0 = fit.coef[0]
     objs = [np.mean((y - b0 - b * x) ** 2) / 2 + lam * abs(b) for b in grid]
-    assert abs(grid[int(np.argmin(objs))] - fit.beta[1]) <= 5e-5
+    assert abs(grid[int(np.argmin(objs))] - fit.coef[1]) <= 5e-5
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -270,14 +270,14 @@ def test_weighted_lasso_kkt(seed):
     lam = 0.12
     beta = fit_weighted_outcome_lasso(data, gamma, lam, RAW)
     # the objective gradient is the negative of the weighted score
-    grad = -weighted_outcome_score(data, gamma.gamma, beta.beta)
-    assert l1_violation(grad, beta.beta, lam) <= lam * 1e-4 + 1e-8
+    grad = -weighted_outcome_score(data, gamma.coef, beta.coef)
+    assert l1_violation(grad, beta.coef, lam) <= lam * 1e-4 + 1e-8
 
 
 def test_weighted_lasso_zero_lambda_normal_equations(dataset):
     gamma = fit_calibration_lasso(dataset, 0.05, RAW)
     beta = fit_weighted_outcome_lasso(dataset, gamma, 0.0, RAW)
-    score = weighted_outcome_score(dataset, gamma.gamma, beta.beta)
+    score = weighted_outcome_score(dataset, gamma.coef, beta.coef)
     assert np.max(np.abs(score)) <= 1e-8
 
 
@@ -290,19 +290,19 @@ def test_weighted_lasso_constant_outcome():
     data = Dataset(y, a, x)
     gamma = fit_calibration_lasso(data, 0.0)
     beta = fit_weighted_outcome_lasso(data, gamma, 0.0)
-    assert beta.beta[0] == pytest.approx(4.2, abs=1e-7)
-    assert np.max(np.abs(beta.beta[1:])) <= 1e-7
+    assert beta.coef[0] == pytest.approx(4.2, abs=1e-7)
+    assert np.max(np.abs(beta.coef[1:])) <= 1e-7
 
 
 def test_weighted_lasso_degenerate_weights():
-    from pbrdr.solvers import PropensityCoefficients
+    from pbrdr.solvers import Coefficients
 
     rng = np.random.default_rng(6)
     x = rng.standard_normal((40, 1))
     a = np.ones(40)
     a[:10] = 0.0
     data = Dataset(rng.standard_normal(40), a, x)
-    gamma = PropensityCoefficients(np.array([-50.0, 0.0]), 0.0, (), 0.0)  # pi ~ 0 on treated
+    gamma = Coefficients(np.array([-50.0, 0.0]), 0.0, 0.0)  # pi ~ 0 on treated
     with pytest.raises(DegenerateWeights):
         fit_weighted_outcome_lasso(data, gamma, 0.1)
 
@@ -317,7 +317,7 @@ def test_logistic_mle_intercept_only():
     a = (rng.random(200) < 0.62).astype(float)
     data = Dataset(rng.standard_normal(200), a, np.zeros((200, 0)))
     fit = fit_logistic_mle(data)
-    assert expit(fit.gamma[0]) == pytest.approx(a.mean(), abs=1e-9)
+    assert expit(fit.coef[0]) == pytest.approx(a.mean(), abs=1e-9)
 
 
 def test_logistic_mle_independent_treatment():
@@ -327,7 +327,7 @@ def test_logistic_mle_independent_treatment():
     a = (rng.random(n) < 0.5).astype(float)
     data = Dataset(rng.standard_normal(n), a, x)
     fit = fit_logistic_mle(data)
-    assert np.max(np.abs(fit.gamma[1:])) < 0.05
+    assert np.max(np.abs(fit.coef[1:])) < 0.05
 
 
 def test_logistic_mle_two_cell_log_odds():
@@ -338,8 +338,8 @@ def test_logistic_mle_two_cell_log_odds():
     data = Dataset(np.zeros(80), a, x)
     fit = fit_logistic_mle(data)
     logit = lambda p: math.log(p / (1 - p))
-    assert fit.gamma[0] == pytest.approx(logit(0.25), abs=1e-7)
-    assert fit.gamma[1] == pytest.approx(logit(0.75) - logit(0.25), abs=1e-7)
+    assert fit.coef[0] == pytest.approx(logit(0.25), abs=1e-7)
+    assert fit.coef[1] == pytest.approx(logit(0.75) - logit(0.25), abs=1e-7)
 
 
 def test_logistic_mle_separation():
@@ -363,13 +363,13 @@ def test_logistic_mle_constant_covariate_is_rank_deficient():
 def test_logistic_lasso_full_shrinkage(dataset):
     fit = fit_logistic_lasso(dataset, 5.0)
     assert fit.active_set == ()
-    assert expit(fit.gamma[0]) == pytest.approx(dataset.a.mean(), abs=1e-7)
+    assert expit(fit.coef[0]) == pytest.approx(dataset.a.mean(), abs=1e-7)
 
 
 def test_logistic_lasso_zero_lambda_equals_mle(dataset):
     lasso = fit_logistic_lasso(dataset, 0.0)
     mle = fit_logistic_mle(dataset)
-    assert np.allclose(lasso.gamma, mle.gamma, atol=2e-5)
+    assert np.allclose(lasso.coef, mle.coef, atol=2e-5)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -378,8 +378,8 @@ def test_logistic_lasso_kkt(seed):
     lam = 0.07
     fit = fit_logistic_lasso(data, lam, RAW)
     z = data.design()
-    score = z.T @ (expit(z @ fit.gamma) - data.a) / data.n
-    assert l1_violation(score, fit.gamma, lam) <= lam * 1e-4 + 1e-8
+    score = z.T @ (expit(z @ fit.coef) - data.a) / data.n
+    assert l1_violation(score, fit.coef, lam) <= lam * 1e-4 + 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +394,7 @@ def test_ols_interpolation():
     y = np.hstack([np.ones((50, 1)), x]) @ beta_true
     data = Dataset(y, np.ones(50), x)
     fit = fit_ols(data, treated_only=True)
-    assert np.allclose(fit.beta, beta_true, atol=1e-10)
+    assert np.allclose(fit.coef, beta_true, atol=1e-10)
 
 
 def test_ols_intercept_only():
@@ -404,7 +404,7 @@ def test_ols_intercept_only():
     a[:25] = 1.0
     data = Dataset(y, a, np.zeros((40, 0)))
     fit = fit_ols(data, treated_only=True)
-    assert fit.beta[0] == pytest.approx(y[:25].mean(), abs=1e-12)
+    assert fit.coef[0] == pytest.approx(y[:25].mean(), abs=1e-12)
 
 
 def test_ols_matches_normal_equations(dataset):
@@ -412,7 +412,7 @@ def test_ols_matches_normal_equations(dataset):
     sel = dataset.a == 1.0
     z = dataset.design()[sel]
     oracle = np.linalg.solve(z.T @ z, z.T @ dataset.y[sel])
-    assert np.allclose(fit.beta, oracle, atol=1e-9)
+    assert np.allclose(fit.coef, oracle, atol=1e-9)
 
 
 def test_ols_rank_deficient():
@@ -428,13 +428,13 @@ def test_linear_lasso_full_shrinkage(dataset):
     fit = fit_linear_lasso(dataset, 50.0, treated_only=True)
     assert fit.active_set == ()
     treated_mean = dataset.y[dataset.a == 1.0].mean()
-    assert fit.beta[0] == pytest.approx(treated_mean, abs=1e-7)
+    assert fit.coef[0] == pytest.approx(treated_mean, abs=1e-7)
 
 
 def test_linear_lasso_zero_equals_ols(dataset):
     lasso = fit_linear_lasso(dataset, 0.0, treated_only=True)
     ols = fit_ols(dataset, treated_only=True)
-    assert np.allclose(lasso.beta, ols.beta, atol=1e-7)
+    assert np.allclose(lasso.coef, ols.coef, atol=1e-7)
 
 
 def test_linear_lasso_orthonormal_soft_threshold():
@@ -453,7 +453,7 @@ def test_linear_lasso_orthonormal_soft_threshold():
         col = x[:, j]
         b_ols = float(col @ y) / float(col @ col)
         expected = math.copysign(max(abs(b_ols) - n * lam / float(col @ col), 0.0), b_ols)
-        assert fit.beta[1 + j] == pytest.approx(expected, abs=1e-8)
+        assert fit.coef[1 + j] == pytest.approx(expected, abs=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -463,20 +463,20 @@ def test_linear_lasso_orthonormal_soft_threshold():
 
 def test_post_lasso_empty_selection(dataset):
     fit = post_lasso_refit(dataset, [], "propensity")
-    assert expit(fit.gamma[0]) == pytest.approx(dataset.a.mean(), abs=1e-8)
-    assert np.all(fit.gamma[1:] == 0.0)
+    assert expit(fit.coef[0]) == pytest.approx(dataset.a.mean(), abs=1e-8)
+    assert np.all(fit.coef[1:] == 0.0)
     fit_o = post_lasso_refit(dataset, [], "outcome")
-    assert fit_o.beta[0] == pytest.approx(dataset.y[dataset.a == 1.0].mean(), abs=1e-8)
+    assert fit_o.coef[0] == pytest.approx(dataset.y[dataset.a == 1.0].mean(), abs=1e-8)
 
 
 def test_post_lasso_full_selection(dataset):
     full = list(range(1, dataset.p + 1))
     refit = post_lasso_refit(dataset, full, "propensity")
     mle = fit_logistic_mle(dataset)
-    assert np.allclose(refit.gamma, mle.gamma, atol=1e-7)
+    assert np.allclose(refit.coef, mle.coef, atol=1e-7)
     refit_o = post_lasso_refit(dataset, full, "outcome")
     ols = fit_ols(dataset, treated_only=True)
-    assert np.allclose(refit_o.beta, ols.beta, atol=1e-9)
+    assert np.allclose(refit_o.coef, ols.coef, atol=1e-9)
 
 
 def test_post_lasso_removes_shrinkage():
@@ -492,7 +492,7 @@ def test_post_lasso_removes_shrinkage():
         refit = post_lasso_refit(data, lasso.active_set, "propensity")
         for j in lasso.active_set:
             total += 1
-            if abs(refit.gamma[j]) >= abs(lasso.gamma[j]):
+            if abs(refit.coef[j]) >= abs(lasso.coef[j]):
                 wins += 1
     assert total > 0 and wins / total > 0.5
 
@@ -511,14 +511,14 @@ def test_post_lasso_validates_indices(dataset):
 
 def test_br_refit_empty_selection(dataset):
     fit = fit_br_refit(dataset, [], 0.05)
-    assert np.all(fit.gamma.gamma[1:] == 0.0)
+    assert np.all(fit.gamma.coef[1:] == 0.0)
     # intercept ridge-exempt: the scalar calibration equation holds exactly
-    pi0 = expit(fit.gamma.gamma[0])
+    pi0 = expit(fit.gamma.coef[0])
     assert np.mean(dataset.a / pi0) == pytest.approx(1.0, abs=1e-7)
     # outcome intercept: weighted treated mean
     w = dataset.a * (1.0 - pi0) / pi0
     expected = float(w @ dataset.y) / float(w.sum())
-    assert fit.beta.beta[0] == pytest.approx(expected, abs=1e-7)
+    assert fit.beta.coef[0] == pytest.approx(expected, abs=1e-7)
 
 
 def test_br_refit_ridge_to_zero_limit(dataset):
@@ -527,19 +527,19 @@ def test_br_refit_ridge_to_zero_limit(dataset):
     sub = Dataset(dataset.y, dataset.a, dataset.x[:, :2])
     g0 = fit_calibration_lasso(sub, 0.0)
     b0 = fit_weighted_outcome_lasso(sub, g0, 0.0)
-    assert np.allclose(small.gamma.gamma[[0, 1, 2]], g0.gamma, atol=1e-4)
-    assert np.allclose(small.beta.beta[[0, 1, 2]], b0.beta, atol=1e-4)
+    assert np.allclose(small.gamma.coef[[0, 1, 2]], g0.coef, atol=1e-4)
+    assert np.allclose(small.beta.coef[[0, 1, 2]], b0.coef, atol=1e-4)
 
 
 def test_br_refit_residual_at_solution(dataset):
     lam_ridge = 0.1
     fit = fit_br_refit(dataset, [1, 3], lam_ridge, SolverOptions(standardize=False))
     idx = [0, 1, 3]
-    score = calibration_score(dataset, fit.gamma.gamma)[idx]
-    ridge_term = 2.0 * lam_ridge * fit.gamma.gamma[idx]
+    score = calibration_score(dataset, fit.gamma.coef)[idx]
+    ridge_term = 2.0 * lam_ridge * fit.gamma.coef[idx]
     ridge_term[0] = 0.0  # intercept exempt
     assert np.max(np.abs(score + ridge_term)) <= 1e-7
-    out_score = weighted_outcome_score(dataset, fit.gamma.gamma, fit.beta.beta)[idx]
+    out_score = weighted_outcome_score(dataset, fit.gamma.coef, fit.beta.coef)[idx]
     assert np.max(np.abs(out_score)) <= 1e-7
 
 
@@ -613,16 +613,16 @@ def test_scale_equivariance(factor):
     lam, lam_b = default_penalties(data.n, data.p)
     g1 = fit_calibration_lasso(data, lam)
     g2 = fit_calibration_lasso(scaled, lam)
-    pi1 = expit(data.design() @ g1.gamma)
-    pi2 = expit(scaled.design() @ g2.gamma)
+    pi1 = expit(data.design() @ g1.coef)
+    pi2 = expit(scaled.design() @ g2.coef)
     assert np.allclose(pi1, pi2, atol=1e-6)
-    assert g2.gamma[1] == pytest.approx(g1.gamma[1] / factor, rel=1e-5, abs=1e-10)
+    assert g2.coef[1] == pytest.approx(g1.coef[1] / factor, rel=1e-5, abs=1e-10)
     b1 = fit_weighted_outcome_lasso(data, g1, lam_b)
     b2 = fit_weighted_outcome_lasso(scaled, g2, lam_b)
-    m1 = data.design() @ b1.beta
-    m2 = scaled.design() @ b2.beta
+    m1 = data.design() @ b1.coef
+    m2 = scaled.design() @ b2.coef
     assert np.allclose(m1, m2, atol=1e-6)
-    assert b2.beta[1] == pytest.approx(b1.beta[1] / factor, rel=1e-5, abs=1e-10)
+    assert b2.coef[1] == pytest.approx(b1.coef[1] / factor, rel=1e-5, abs=1e-10)
 
 
 def test_zero_lambda_low_dimensional_reduction():
@@ -631,8 +631,8 @@ def test_zero_lambda_low_dimensional_reduction():
     data = random_dataset(33, n=200, p=2)
     gamma = fit_calibration_lasso(data, 0.0)
     beta = fit_weighted_outcome_lasso(data, gamma, 0.0)
-    assert np.max(np.abs(calibration_score(data, gamma.gamma))) <= 1e-7
-    assert np.max(np.abs(weighted_outcome_score(data, gamma.gamma, beta.beta))) <= 1e-7
+    assert np.max(np.abs(calibration_score(data, gamma.coef))) <= 1e-7
+    assert np.max(np.abs(weighted_outcome_score(data, gamma.coef, beta.coef))) <= 1e-7
 
 
 def test_solver_options_validation():
@@ -643,9 +643,9 @@ def test_solver_options_validation():
 
 
 def test_nuisance_fit_dimension_check():
-    from pbrdr.solvers import OutcomeCoefficients, PropensityCoefficients
+    from pbrdr.solvers import Coefficients
 
-    g = PropensityCoefficients(np.zeros(3), 0.0, (), 0.0)
-    b = OutcomeCoefficients(np.zeros(4), 0.0, (), 0.0)
+    g = Coefficients(np.zeros(3), 0.0, 0.0)
+    b = Coefficients(np.zeros(4), 0.0, 0.0)
     with pytest.raises(ValueError):
         NuisanceFit(g, b, "MLE")
