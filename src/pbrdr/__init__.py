@@ -49,7 +49,6 @@ from .simulation import (
     run_monte_carlo,
     scenario1_model,
     scenario2_model,
-    serialize_config,
 )
 from .solvers import (
     Coefficients,

@@ -2,11 +2,11 @@
 
 Exit codes are stable across subcommands: 0 on success, 2 on input errors
 (CSV schema, config file, grid specification), 3 on numerical/solver
-failures. Every run that writes files also writes a ``manifest.json``
-listing them (even on partial failure).
-
-Thread counts resolve as: ``PBRDR_THREADS`` environment variable if set,
-else ``--threads``, else 1.
+failures. Every run that writes files also writes a manifest listing them
+(even on partial failure): ``simulate`` writes ``<out>/manifest.json``,
+``bias-surface`` writes ``<out>/<variant>_manifest.json`` beside its surface
+files, and ``estimate`` writes ``<report stem>.manifest.json`` beside the
+report, so runs sharing an output directory keep separate manifests.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import re
 import sys
 import time
@@ -198,16 +197,6 @@ def write_dataset_csv(data: Dataset, path) -> None:
             fh.write(",".join(vals) + "\n")
 
 
-def _threads(args) -> int:
-    env = os.environ.get("PBRDR_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise _InputError(f"PBRDR_THREADS must be an integer, got {env!r}") from None
-    return max(1, getattr(args, "threads", 1) or 1)
-
-
 # ---------------------------------------------------------------------------
 # estimate
 # ---------------------------------------------------------------------------
@@ -236,7 +225,7 @@ def cmd_estimate(args) -> int:
         na_policy=args.na_policy,
     )
     data, cov_cols = load_csv_dataset(args.csv, schema)
-    t0 = time.time()
+    t0 = time.perf_counter()
     if args.target == "ate":
         res = ate_estimate(data, args.estimator)
         payload = {
@@ -286,7 +275,7 @@ def cmd_estimate(args) -> int:
         seed=args.seed,
     )
     manifest.statuses = {args.estimator: "ok"}
-    manifest.wall_time_s = time.time() - t0
+    manifest.wall_time_s = time.perf_counter() - t0
     with open(report, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -301,6 +290,14 @@ def cmd_estimate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _finish_manifest(manifest: RunManifest, path: Path, t0: float) -> None:
+    """Record the wall time since ``t0``, list the manifest itself and write it."""
+    manifest.wall_time_s = time.perf_counter() - t0
+    manifest.output_files.append(str(path))
+    manifest.write(path)
+    print(f"wrote {path}")
+
+
 def cmd_simulate(args) -> int:
     try:
         cells = parse_config(args.config)
@@ -308,7 +305,7 @@ def cmd_simulate(args) -> int:
         raise _InputError(f"cannot read config {args.config}: {exc}") from exc
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    n_jobs = _threads(args)
+    n_jobs = max(1, args.threads)
     with open(args.config, "r", encoding="utf-8") as fh:
         config_echo = fh.read()
     manifest = RunManifest(
@@ -317,7 +314,7 @@ def cmd_simulate(args) -> int:
         config={"path": str(args.config), "text": config_echo, "threads": n_jobs},
         seed=cells[0][0].seed if cells else None,
     )
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         for spec, tags in cells:
             name = spec.cell_name()
@@ -334,11 +331,7 @@ def cmd_simulate(args) -> int:
             }
             print(f"wrote {out_path}")
     finally:
-        manifest.wall_time_s = time.time() - t0
-        manifest_path = out_dir / "manifest.json"
-        manifest.output_files.append(str(manifest_path))
-        manifest.write(manifest_path)
-        print(f"wrote {manifest_path}")
+        _finish_manifest(manifest, out_dir / "manifest.json", t0)
     return 0
 
 
@@ -380,7 +373,7 @@ def cmd_bias_surface(args) -> int:
         },
         seed=args.seed,
     )
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         grid = evaluate_surface(dgp, gamma_grid, beta_grid)
         main_path, sidecar = export_surface(grid, out_dir / f"{args.variant}_surface.csv")
@@ -395,11 +388,7 @@ def cmd_bias_surface(args) -> int:
         for tag, val in grid.reference_biases.items():
             print(f"reference {tag:7s}: {val:.4g}")
     finally:
-        manifest.wall_time_s = time.time() - t0
-        manifest_path = out_dir / "manifest.json"
-        manifest.output_files.append(str(manifest_path))
-        manifest.write(manifest_path)
-        print(f"wrote {manifest_path}")
+        _finish_manifest(manifest, out_dir / f"{args.variant}_manifest.json", t0)
     return 0
 
 
@@ -438,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run Monte Carlo cells from a config file")
     sim.add_argument("--config", required=True, help="key-value config file")
     sim.add_argument("--out", required=True, help="output directory")
-    sim.add_argument("--threads", type=int, default=1, help="worker processes (PBRDR_THREADS overrides)")
+    sim.add_argument("--threads", type=int, default=1, help="worker processes (default 1)")
     sim.set_defaults(func=cmd_simulate)
 
     surf = sub.add_parser("bias-surface", help="export misspecification bias-surface data")

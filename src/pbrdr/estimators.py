@@ -22,11 +22,10 @@ import numpy as np
 from scipy.special import expit
 
 from .dataset import Dataset
-from .errors import ConfigError, DegenerateData, PbrdrError, PositivityViolation, RankDeficient
+from .errors import ConfigError, DegenerateData, PbrdrError, PositivityViolation
 from .solvers import (
     Coefficients,
     NuisanceFit,
-    SolverOptions,
     default_penalties,
     fit_br_refit,
     fit_calibration_lasso,
@@ -39,7 +38,8 @@ from .solvers import (
 )
 
 # Fitted propensities below this value on units that need weighting raise
-# PositivityViolation unless clipping is explicitly requested.
+# PositivityViolation. They are reported, never clipped: clipping would hide
+# the positivity failure behind an interval that still looks valid.
 POSITIVITY_THRESHOLD = 1e-6
 
 CI_MULTIPLIER = 1.96
@@ -105,11 +105,10 @@ class AteResult:
 
 @dataclass
 class SuiteEntry:
-    """Outcome of one estimator within the suite: a result, an error, or a skip."""
+    """Outcome of one estimator within the suite: a result or an error."""
 
     result: Optional[EstimateResult] = None
     exception: Optional[PbrdrError] = None
-    skipped: bool = False
 
     @property
     def error(self) -> Optional[str]:
@@ -134,43 +133,35 @@ def _result_from_influence(
     return EstimateResult(mu, influence, sigma, se, ci, estimator, se_is_naive, fit)
 
 
-def _propensities(
-    data: Dataset, gamma: np.ndarray, needed: np.ndarray, clip_positivity: bool
-) -> np.ndarray:
+def _propensities(data: Dataset, gamma: np.ndarray, needed: np.ndarray) -> np.ndarray:
     """Fitted propensities with the positivity guard applied on ``needed`` units."""
     pi = expit(data.design() @ gamma)
     low = needed & (pi < POSITIVITY_THRESHOLD)
     if np.any(low):
-        if not clip_positivity:
-            raise PositivityViolation(
-                f"{int(low.sum())} unit(s) have fitted propensity below {POSITIVITY_THRESHOLD:g}; "
-                "weights would explode (pass clip_positivity=True to clip at the threshold)"
-            )
-        pi = np.maximum(pi, POSITIVITY_THRESHOLD)
+        raise PositivityViolation(
+            f"{int(low.sum())} unit(s) have fitted propensity below {POSITIVITY_THRESHOLD:g}; "
+            "weights would explode"
+        )
     return pi
 
 
-def influence_values(
-    data: Dataset, fit: NuisanceFit, clip_positivity: bool = False
-) -> np.ndarray:
+def influence_values(data: Dataset, fit: NuisanceFit) -> np.ndarray:
     """Per-unit DR influence values ``U_i = m_i + (A_i/pi_i)(y_i - m_i)``.
 
     The division by ``pi_i`` is only ever evaluated on treated units, so the
     positivity guard applies there alone.
     """
     treated = data.a == 1.0
-    pi = _propensities(data, fit.gamma.coef, treated, clip_positivity)
+    pi = _propensities(data, fit.gamma.coef, treated)
     m = data.design() @ fit.beta.coef
     u = m.copy()
     u[treated] += (data.y[treated] - m[treated]) / pi[treated]
     return u
 
 
-def dr_estimate(
-    data: Dataset, fit: NuisanceFit, clip_positivity: bool = False
-) -> EstimateResult:
+def dr_estimate(data: Dataset, fit: NuisanceFit) -> EstimateResult:
     """DR estimate: mean of the influence values, sandwich SE from their sample SD."""
-    u = influence_values(data, fit, clip_positivity)
+    u = influence_values(data, fit)
     return _result_from_influence(u, fit.method, se_is_naive=False, fit=fit)
 
 
@@ -188,25 +179,17 @@ def or_estimate(
     return _result_from_influence(fitted, estimator, se_is_naive=True)
 
 
-def iptw_estimate(
-    data: Dataset,
-    gamma: Coefficients,
-    estimator: str = "IPTW",
-    clip_positivity: bool = False,
-) -> EstimateResult:
+def iptw_estimate(data: Dataset, gamma: Coefficients, estimator: str = "IPTW") -> EstimateResult:
     """Unnormalized inverse-probability estimate ``(1/n) sum_i A_i y_i / pi_i``."""
     treated = data.a == 1.0
-    pi = _propensities(data, gamma.coef, treated, clip_positivity)
+    pi = _propensities(data, gamma.coef, treated)
     u = np.zeros(data.n)
     u[treated] = data.y[treated] / pi[treated]
     return _result_from_influence(u, estimator, se_is_naive=True)
 
 
 def pop_iptw_estimate(
-    data: Dataset,
-    gamma: Coefficients,
-    estimator: str = "Pop-IPTW",
-    clip_positivity: bool = False,
+    data: Dataset, gamma: Coefficients, estimator: str = "Pop-IPTW"
 ) -> EstimateResult:
     """Normalized (Hajek) inverse-probability estimate.
 
@@ -216,7 +199,7 @@ def pop_iptw_estimate(
     its mean reproduces the estimate exactly.
     """
     treated = data.a == 1.0
-    pi = _propensities(data, gamma.coef, treated, clip_positivity)
+    pi = _propensities(data, gamma.coef, treated)
     w = np.zeros(data.n)
     w[treated] = 1.0 / pi[treated]
     w_total = float(w.sum())
@@ -246,11 +229,7 @@ def _weight_normalized_level(data: Dataset, gamma: np.ndarray, lam_beta: float) 
     return lam_beta * w_sum / data.n
 
 
-def estimate_pbr(
-    data: Dataset,
-    opts: Optional[SolverOptions] = None,
-    penalties: Optional[Tuple[float, float]] = None,
-) -> EstimateResult:
+def estimate_pbr(data: Dataset) -> EstimateResult:
     """Full penalised bias-reduced pipeline.
 
     Default penalties from :func:`default_penalties`, then the calibration
@@ -259,21 +238,17 @@ def estimate_pbr(
     DR plug-in. The returned result carries the nuisance fit (both active
     sets) in ``fit``.
     """
-    return estimate_one(data, "P-BR", opts, penalties)
+    return estimate_one(data, "P-BR")
 
 
-def estimate_ds_pbr(
-    data: Dataset,
-    opts: Optional[SolverOptions] = None,
-    penalties: Optional[Tuple[float, float]] = None,
-) -> EstimateResult:
+def estimate_ds_pbr(data: Dataset) -> EstimateResult:
     """Double-selection variant: refit the bias-reduced system without l1 penalty
     on the union of the covariates selected by the P-BR stage, keeping a ridge
     term on the propensity equation for numerical stability."""
-    return estimate_one(data, "DS-P-BR", opts, penalties)
+    return estimate_one(data, "DS-P-BR")
 
 
-def _suite_builders(data: Dataset, opts, lam_gamma: float, lam_beta: float):
+def _suite_builders(data: Dataset, lam_gamma: float, lam_beta: float):
     """Tag -> builder map with shared, lazily computed nuisance fits.
 
     Failures are cached alongside successes so that every estimator
@@ -294,28 +269,28 @@ def _suite_builders(data: Dataset, opts, lam_gamma: float, lam_beta: float):
         return value
 
     def g_mle():
-        return shared("g_mle", lambda: fit_logistic_mle(data, opts))
+        return shared("g_mle", lambda: fit_logistic_mle(data))
 
     def b_ols():
-        return shared("b_ols", lambda: fit_ols(data, treated_only=True))
+        return shared("b_ols", lambda: fit_ols(data))
 
     def g_lasso():
-        return shared("g_lasso", lambda: fit_logistic_lasso(data, lam_gamma, opts))
+        return shared("g_lasso", lambda: fit_logistic_lasso(data, lam_gamma))
 
     def b_lasso():
         # Treated-subsample fit: the nominal level lives on the subsample
         # scale, the solver normalizes by the full n.
         lam_eff = lam_beta * data.n_treated / data.n
-        return shared("b_lasso", lambda: fit_linear_lasso(data, lam_eff, True, opts))
+        return shared("b_lasso", lambda: fit_linear_lasso(data, lam_eff))
 
     def g_pbr():
-        return shared("g_pbr", lambda: fit_calibration_lasso(data, lam_gamma, opts))
+        return shared("g_pbr", lambda: fit_calibration_lasso(data, lam_gamma))
 
     def b_pbr():
         def build():
             gamma = g_pbr()
             lam_eff = _weight_normalized_level(data, gamma.coef, lam_beta)
-            return fit_weighted_outcome_lasso(data, gamma, lam_eff, opts)
+            return fit_weighted_outcome_lasso(data, gamma, lam_eff)
 
         return shared("b_pbr", build)
 
@@ -336,11 +311,11 @@ def _suite_builders(data: Dataset, opts, lam_gamma: float, lam_beta: float):
             NuisanceFit(
                 shared(
                     "g_post",
-                    lambda: post_lasso_refit(data, g_lasso().active_set, "propensity", opts),
+                    lambda: post_lasso_refit(data, g_lasso().active_set, "propensity"),
                 ),
                 shared(
                     "b_post",
-                    lambda: post_lasso_refit(data, b_lasso().active_set, "outcome", opts),
+                    lambda: post_lasso_refit(data, b_lasso().active_set, "outcome"),
                 ),
                 "Post-LASSO",
             ),
@@ -350,46 +325,36 @@ def _suite_builders(data: Dataset, opts, lam_gamma: float, lam_beta: float):
             NuisanceFit(
                 shared(
                     "g_ds",
-                    lambda: post_lasso_refit(data, union(g_lasso, b_lasso), "propensity", opts),
+                    lambda: post_lasso_refit(data, union(g_lasso, b_lasso), "propensity"),
                 ),
                 shared(
                     "b_ds",
-                    lambda: post_lasso_refit(data, union(g_lasso, b_lasso), "outcome", opts),
+                    lambda: post_lasso_refit(data, union(g_lasso, b_lasso), "outcome"),
                 ),
                 "DS-LASSO",
             ),
         ),
         "P-BR": lambda: dr_estimate(data, NuisanceFit(g_pbr(), b_pbr(), "P-BR")),
         "DS-P-BR": lambda: dr_estimate(
-            data, fit_br_refit(data, union(g_pbr, b_pbr), lam_gamma, opts)
+            data, fit_br_refit(data, union(g_pbr, b_pbr), lam_gamma)
         ),
     }
 
 
 def estimate_suite(
-    data: Dataset,
-    estimators: Optional[Sequence[str]] = None,
-    opts: Optional[SolverOptions] = None,
-    penalties: Optional[Tuple[float, float]] = None,
+    data: Dataset, estimators: Optional[Sequence[str]] = None
 ) -> Dict[str, SuiteEntry]:
     """Run the requested estimators (default: the ten-member roster) on one dataset.
 
-    Per-estimator failures never abort the suite: each failing tag carries its
-    specific error. The MLE-based DR estimator is skipped with an explicit
-    marker when ``n <= p + 1``. Nuisance fits shared between estimators are
-    computed once.
+    Penalty levels come from :func:`default_penalties`. Per-estimator failures
+    never abort the suite: each failing tag carries its specific error.
+    Nuisance fits shared between estimators are computed once.
     """
     tags = _resolve_tags(estimators)
-    lam_gamma, lam_beta = penalties or default_penalties(data.n, max(data.p, 1))
-    builders = _suite_builders(data, opts, lam_gamma, lam_beta)
+    lam_gamma, lam_beta = default_penalties(data.n, max(data.p, 1))
+    builders = _suite_builders(data, lam_gamma, lam_beta)
     out: Dict[str, SuiteEntry] = {}
     for tag in tags:
-        if tag == "MLE" and data.n <= data.p + 1:
-            out[tag] = SuiteEntry(
-                exception=RankDeficient("MLE nuisances require n > p + 1; skipped"),
-                skipped=True,
-            )
-            continue
         try:
             out[tag] = SuiteEntry(result=builders[tag]())
         except PbrdrError as exc:
@@ -398,25 +363,15 @@ def estimate_suite(
     return out
 
 
-def estimate_one(
-    data: Dataset,
-    estimator: str = "P-BR",
-    opts: Optional[SolverOptions] = None,
-    penalties: Optional[Tuple[float, float]] = None,
-) -> EstimateResult:
+def estimate_one(data: Dataset, estimator: str = "P-BR") -> EstimateResult:
     """Run a single estimator by tag, raising its error on failure."""
-    entry = estimate_suite(data, [estimator], opts, penalties)[estimator]
+    entry = estimate_suite(data, [estimator])[estimator]
     if entry.result is None:
         raise entry.exception
     return entry.result
 
 
-def ate_estimate(
-    data: Dataset,
-    estimator: str = "P-BR",
-    opts: Optional[SolverOptions] = None,
-    penalties: Optional[Tuple[float, float]] = None,
-) -> AteResult:
+def ate_estimate(data: Dataset, estimator: str = "P-BR") -> AteResult:
     """Average treatment effect via two fully independent counterfactual-arm fits.
 
     Arm 1 runs the chosen estimator as-is; arm 0 runs it after recoding the
@@ -426,8 +381,8 @@ def ate_estimate(
     """
     if data.n_treated == 0 or data.n_treated == data.n:
         raise DegenerateData("both treatment arms must be nonempty for an ATE")
-    arm1 = estimate_one(data, estimator, opts, penalties)
-    arm0 = estimate_one(data.swap_treatment(), estimator, opts, penalties)
+    arm1 = estimate_one(data, estimator)
+    arm0 = estimate_one(data.swap_treatment(), estimator)
     ate = arm1.mu_hat - arm0.mu_hat
     diff = arm1.influence - arm0.influence
     se = float(np.std(diff, ddof=1)) / math.sqrt(data.n) if data.n > 1 else 0.0

@@ -257,7 +257,6 @@ class MetricsTable:
 
     rows: Dict[str, MetricsRow]
     mu0: float
-    spec: Optional[ScenarioSpec] = None
 
     def to_csv_text(self) -> str:
         lines = ["estimator,bias,rmse,mae,mcsd,asse,cov,n_failed"]
@@ -316,7 +315,7 @@ def _replicate(args: Tuple[ScenarioSpec, Tuple[str, ...], int]):
             res = entry.result
             out[tag] = ("ok", res.mu_hat, res.se, res.ci[0], res.ci[1])
         else:
-            out[tag] = ("skipped" if entry.skipped else "error", entry.error)
+            out[tag] = ("error", entry.error)
     return r, out
 
 
@@ -327,8 +326,8 @@ def run_monte_carlo(
 ) -> MetricsTable:
     """Run ``spec.reps`` replications and aggregate per-estimator metrics.
 
-    Replications where an estimator fails (or is skipped) are excluded from
-    that estimator's metrics and counted in ``n_failed``. Aggregation folds in
+    Replications where an estimator fails are excluded from that
+    estimator's metrics and counted in ``n_failed``. Aggregation folds in
     replication-index order, so parallel and serial execution produce
     identical tables.
     """
@@ -366,7 +365,7 @@ def run_monte_carlo(
         else:
             row = MetricsRow(math.nan, math.nan, math.nan, math.nan, math.nan, math.nan, c["failed"])
         rows[tag] = row
-    return MetricsTable(rows, mu0, spec)
+    return MetricsTable(rows, mu0)
 
 
 # ---------------------------------------------------------------------------
@@ -470,20 +469,3 @@ def parse_config_text(text: str) -> List[Tuple[ScenarioSpec, Tuple[str, ...]]]:
 def parse_config(path) -> List[Tuple[ScenarioSpec, Tuple[str, ...]]]:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config_text(fh.read())
-
-
-def serialize_config(spec: ScenarioSpec, estimators: Sequence[str]) -> str:
-    """Render a single simulation cell back into the key-value format."""
-    return "\n".join(
-        [
-            f"scenario = {spec.scenario}",
-            f"n = {spec.n}",
-            f"p = {spec.p}",
-            f"correlated = {str(spec.correlated).lower()}",
-            f"or_correct = {str(spec.or_correct).lower()}",
-            f"ps_correct = {str(spec.ps_correct).lower()}",
-            f"reps = {spec.reps}",
-            f"seed = {spec.seed}",
-            f"estimators = {','.join(estimators)}",
-        ]
-    ) + "\n"

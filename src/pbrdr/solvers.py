@@ -18,8 +18,7 @@ Every fitter returns a :class:`Coefficients` (``fit_br_refit`` a
 
 Conventions shared by every fitter:
 
-* designs carry a leading intercept column; the intercept is unpenalized
-  unless ``SolverOptions.penalize_intercept`` is set;
+* designs carry a leading intercept column; the intercept is never penalized;
 * covariates are internally rescaled to unit sample standard deviation
   before penalization and coefficients mapped back afterwards
   (``SolverOptions.standardize``); reported KKT residuals live on the
@@ -73,7 +72,6 @@ class SolverOptions:
     tol: float = DEFAULT_TOL
     max_iter: Optional[int] = None
     standardize: bool = True
-    penalize_intercept: bool = False
 
     def __post_init__(self) -> None:
         if not self.tol > 0:
@@ -178,9 +176,9 @@ def _back_transform(coef: np.ndarray, scales: np.ndarray) -> np.ndarray:
     return out
 
 
-def _penalized_mask(dim: int, opts: SolverOptions) -> np.ndarray:
+def _penalized_mask(dim: int) -> np.ndarray:
     mask = np.ones(dim, dtype=bool)
-    mask[0] = opts.penalize_intercept
+    mask[0] = False
     return mask
 
 
@@ -477,7 +475,7 @@ def _fit_propensity_lasso(
         raise DegenerateData("need at least two observations")
     _require_both_arms(data)
     z, scales = _standardized_design(data, opts)
-    mask = _penalized_mask(data.p + 1, opts)
+    mask = _penalized_mask(data.p + 1)
     x0 = np.zeros(data.p + 1)
     abar = data.a.mean()
     x0[0] = math.log(abar / (1.0 - abar))
@@ -494,7 +492,7 @@ def fit_calibration_lasso(
     """Fit the propensity model by the l1-penalised calibration loss.
 
     Minimises ``(1/n) sum_i [A_i exp(-g.z_i) + (1-A_i) g.z_i] + lam ||g||_1``
-    (intercept unpenalized by default). At the solution the covariate-
+    (intercept unpenalized). At the solution the covariate-
     balancing score ``(1/n) sum_i {1 - A_i/pi_i} z_i`` satisfies the l1
     stationarity conditions to within ``opts.tol`` in sup-norm; with an
     unpenalized intercept this implies the calibration identity
@@ -548,7 +546,7 @@ def _weighted_lasso(
     """
     n = data.n
     z, scales = _standardized_design(data, opts)
-    mask = _penalized_mask(data.p + 1, opts)
+    mask = _penalized_mask(data.p + 1)
     wz = z * weights[:, None]
     gram = wz.T @ z / n
     lin = wz.T @ data.y / n
@@ -601,22 +599,20 @@ def fit_weighted_outcome_lasso(
 def fit_linear_lasso(
     data: Dataset,
     lam: float,
-    treated_only: bool,
+    *,
     opts: Optional[SolverOptions] = None,
 ) -> Coefficients:
-    """Plain (unweighted) l1-penalised least squares, optionally on the treated subsample.
+    """Plain (unweighted) l1-penalised least squares on the treated subsample.
 
     Unit weights: the objective is ``(1/2n) sum_i A_i (y_i - b.z_i)^2 + lam ||b||_1``
-    when ``treated_only`` (with ``n`` the full number of rows), and the full-sample
-    analogue otherwise.
+    with ``n`` the full number of rows.
     """
     opts = opts or DEFAULT_OPTIONS
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    weights = data.a.copy() if treated_only else np.ones(data.n)
-    if weights.sum() == 0:
-        raise DegenerateData("requested subsample is empty")
-    return _weighted_lasso(data, weights, lam, opts)
+    if data.n_treated == 0:
+        raise DegenerateData("no treated units; the outcome lasso cannot be fit")
+    return _weighted_lasso(data, data.a.copy(), lam, opts)
 
 
 def fit_logistic_mle(data: Dataset, opts: Optional[SolverOptions] = None) -> Coefficients:
@@ -653,17 +649,17 @@ def fit_logistic_mle(data: Dataset, opts: Optional[SolverOptions] = None) -> Coe
     return Coefficients(gamma, 0.0, res, n_iter)
 
 
-def fit_ols(data: Dataset, treated_only: bool) -> Coefficients:
-    """Ordinary least squares, optionally on the treated subsample.
+def fit_ols(data: Dataset) -> Coefficients:
+    """Ordinary least squares on the treated subsample.
 
-    The design must have full column rank on the relevant subsample.
-    Residual orthogonality ``(1/m) sum_i r_i z_i = 0`` holds at solver
-    precision (``m`` the subsample size).
+    The design must have full column rank on the treated units. Residual
+    orthogonality ``(1/m) sum_i r_i z_i = 0`` holds at solver precision
+    (``m`` the number of treated units).
     """
-    sel = data.a == 1.0 if treated_only else np.ones(data.n, dtype=bool)
+    sel = data.a == 1.0
     m = int(sel.sum())
     if m == 0:
-        raise DegenerateData("requested subsample is empty")
+        raise DegenerateData("no treated units; OLS cannot be fit")
     if m <= data.p:
         raise RankDeficient(f"subsample size {m} cannot support {data.p + 1} coefficients")
     z = data.design()[sel]
@@ -700,7 +696,7 @@ def post_lasso_refit(
         raise RankDeficient(
             f"{len(selected)} selected covariates cannot be refit on {relevant} observations"
         )
-    fit = fit_logistic_mle(sub, opts) if which == "propensity" else fit_ols(sub, treated_only=True)
+    fit = fit_logistic_mle(sub, opts) if which == "propensity" else fit_ols(sub)
     return _embed(fit, [0] + selected, data.p + 1)
 
 

@@ -8,7 +8,6 @@ of pbrdr.bias_surface). Expected total runtime: a few minutes on two cores.
 """
 
 import math
-import os
 import subprocess
 import sys
 
@@ -383,13 +382,11 @@ def test_criterion_9_determinism(tmp_path):
     outputs = []
     for idx, threads in enumerate(("1", "1", "2")):
         out = tmp_path / f"run{idx}"
-        env = dict(os.environ)
-        env["PBRDR_THREADS"] = threads
         proc = subprocess.run(
-            [sys.executable, "-m", "pbrdr", "simulate", "--config", str(cfg), "--out", str(out)],
+            [sys.executable, "-m", "pbrdr", "simulate", "--config", str(cfg), "--out", str(out),
+             "--threads", threads],
             capture_output=True,
             text=True,
-            env=env,
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append((out / "S1_uncorr_ORcorrect_PScorrect_n150_p15.csv").read_bytes())

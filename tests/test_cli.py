@@ -1,7 +1,6 @@
 """CLI contract tests: exit codes, round-trips, determinism, manifests."""
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,18 +13,8 @@ from pbrdr import estimate_one
 from pbrdr.cli import CsvSchema, load_csv_dataset, main, write_dataset_csv
 
 
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    env.pop("PBRDR_THREADS", None)
-    if env_extra:
-        env.update(env_extra)
-    proc = subprocess.run(
-        [sys.executable, "-m", "pbrdr", *args],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    return proc
+def run_cli(*args):
+    return subprocess.run([sys.executable, "-m", "pbrdr", *args], capture_output=True, text=True)
 
 
 @pytest.fixture
@@ -86,8 +75,8 @@ def test_estimate_ate_antisymmetry(csv_path, tmp_path):
 
 
 def test_estimate_estimator_failure_exit_code(tmp_path):
-    # 12 rows with 14 covariates: the MLE is skipped (n <= p+1) and surfaces
-    # as a solver error through the single-estimator path
+    # 12 rows with 14 covariates: the logistic MLE raises RankDeficient
+    # (n <= p+1), which surfaces as a solver error through the single-estimator path
     rng = np.random.default_rng(0)
     from pbrdr import Dataset
 
@@ -162,8 +151,7 @@ def test_simulate_ten_row_roster_and_determinism(tmp_path):
     for out in (out1, out2):
         proc = run_cli("simulate", "--config", str(cfg), "--out", str(out))
         assert proc.returncode == 0, proc.stderr
-    proc = run_cli("simulate", "--config", str(cfg), "--out", str(out3),
-                   env_extra={"PBRDR_THREADS": "2"})
+    proc = run_cli("simulate", "--config", str(cfg), "--out", str(out3), "--threads", "2")
     assert proc.returncode == 0, proc.stderr
     name = "S1_uncorr_ORcorrect_PScorrect_n150_p15.csv"
     text1 = (out1 / name).read_bytes()
@@ -208,9 +196,24 @@ def test_bias_surface_deterministic(tmp_path):
         assert proc.returncode == 0, proc.stderr
     for name in ("fig1_surface.csv", "fig1_surface_references.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-    manifest = json.loads((out1 / "manifest.json").read_text())
+    manifest = json.loads((out1 / "fig1_manifest.json").read_text())
     listed = {Path(p).name for p in manifest["output_files"]}
     assert {p.name for p in out1.iterdir()} <= listed
+
+
+def test_bias_surface_runs_sharing_a_directory_keep_their_manifests(tmp_path):
+    for variant in ("fig1", "fig2"):
+        proc = run_cli("bias-surface", "--variant", variant, "--gamma-range", "0:1:0.5",
+                       "--beta-range", "-2:0:1", "--n-large", "2000", "--out", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+    for variant in ("fig1", "fig2"):
+        manifest = json.loads((tmp_path / f"{variant}_manifest.json").read_text())
+        assert {Path(p).name for p in manifest["output_files"]} == {
+            f"{variant}_surface.csv",
+            f"{variant}_surface_references.csv",
+            f"{variant}_manifest.json",
+        }
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_bias_surface_zero_step(tmp_path):

@@ -19,7 +19,6 @@ from pbrdr import (
     run_monte_carlo,
     scenario1_model,
     scenario2_model,
-    serialize_config,
 )
 from pbrdr.simulation import _s1_coefficients, _s2_features, build_model, draw_dataset
 
@@ -339,13 +338,6 @@ def test_config_parse_single_cell():
     spec, tags = cells[0]
     assert spec == ScenarioSpec("S1", 200, 40, False, True, True, 10, 99)
     assert tags == ("P-BR", "LASSO")
-
-
-def test_config_roundtrip():
-    spec = ScenarioSpec("S2", 300, 80, True, False, True, 25, 123)
-    text = serialize_config(spec, ("P-BR", "MLE"))
-    cells = parse_config_text(text)
-    assert cells == [(spec, ("P-BR", "MLE"))]
 
 
 def test_config_sweep_cross_product():

@@ -243,7 +243,7 @@ def _unit_gamma(p):
 
 
 def test_weighted_lasso_soft_threshold_oracle():
-    # single covariate orthogonal to the intercept, unit weights via treated_only
+    # single covariate orthogonal to the intercept, every unit treated (unit weights)
     rng = np.random.default_rng(3)
     n = 80
     x = rng.standard_normal(n)
@@ -251,7 +251,7 @@ def test_weighted_lasso_soft_threshold_oracle():
     y = 0.8 * x + rng.standard_normal(n)
     data = Dataset(y, np.ones(n), x.reshape(-1, 1))
     lam = 0.15
-    fit = fit_linear_lasso(data, lam, treated_only=True, opts=RAW)
+    fit = fit_linear_lasso(data, lam, opts=RAW)
     # closed form: soft threshold of the OLS slope
     b_ols = float(x @ (y - y.mean())) / float(x @ x)
     expected = math.copysign(max(abs(b_ols) - n * lam / float(x @ x), 0.0), b_ols)
@@ -393,7 +393,7 @@ def test_ols_interpolation():
     beta_true = np.array([1.0, -2.0, 0.5, 3.0])
     y = np.hstack([np.ones((50, 1)), x]) @ beta_true
     data = Dataset(y, np.ones(50), x)
-    fit = fit_ols(data, treated_only=True)
+    fit = fit_ols(data)
     assert np.allclose(fit.coef, beta_true, atol=1e-10)
 
 
@@ -403,12 +403,12 @@ def test_ols_intercept_only():
     a = np.zeros(40)
     a[:25] = 1.0
     data = Dataset(y, a, np.zeros((40, 0)))
-    fit = fit_ols(data, treated_only=True)
+    fit = fit_ols(data)
     assert fit.coef[0] == pytest.approx(y[:25].mean(), abs=1e-12)
 
 
 def test_ols_matches_normal_equations(dataset):
-    fit = fit_ols(dataset, treated_only=True)
+    fit = fit_ols(dataset)
     sel = dataset.a == 1.0
     z = dataset.design()[sel]
     oracle = np.linalg.solve(z.T @ z, z.T @ dataset.y[sel])
@@ -421,20 +421,27 @@ def test_ols_rank_deficient():
     x = np.hstack([x, x[:, :1]])  # duplicated column
     data = Dataset(rng.standard_normal(30), np.ones(30), x)
     with pytest.raises(RankDeficient):
-        fit_ols(data, treated_only=True)
+        fit_ols(data)
 
 
 def test_linear_lasso_full_shrinkage(dataset):
-    fit = fit_linear_lasso(dataset, 50.0, treated_only=True)
+    fit = fit_linear_lasso(dataset, 50.0)
     assert fit.active_set == ()
     treated_mean = dataset.y[dataset.a == 1.0].mean()
     assert fit.coef[0] == pytest.approx(treated_mean, abs=1e-7)
 
 
 def test_linear_lasso_zero_equals_ols(dataset):
-    lasso = fit_linear_lasso(dataset, 0.0, treated_only=True)
-    ols = fit_ols(dataset, treated_only=True)
+    lasso = fit_linear_lasso(dataset, 0.0)
+    ols = fit_ols(dataset)
     assert np.allclose(lasso.coef, ols.coef, atol=1e-7)
+
+
+def test_linear_lasso_options_are_keyword_only(dataset):
+    # a third positional argument must not bind to ``opts``: ``False or
+    # DEFAULT_OPTIONS`` would silently run the default fit
+    with pytest.raises(TypeError):
+        fit_linear_lasso(dataset, 0.1, False)
 
 
 def test_linear_lasso_orthonormal_soft_threshold():
@@ -448,7 +455,7 @@ def test_linear_lasso_orthonormal_soft_threshold():
     y = x @ beta_true + 0.1 * rng.standard_normal(n)
     data = Dataset(y, np.ones(n), x)
     lam = 0.002
-    fit = fit_linear_lasso(data, lam, treated_only=True, opts=RAW)
+    fit = fit_linear_lasso(data, lam, opts=RAW)
     for j in range(p):
         col = x[:, j]
         b_ols = float(col @ y) / float(col @ col)
@@ -475,7 +482,7 @@ def test_post_lasso_full_selection(dataset):
     mle = fit_logistic_mle(dataset)
     assert np.allclose(refit.coef, mle.coef, atol=1e-7)
     refit_o = post_lasso_refit(dataset, full, "outcome")
-    ols = fit_ols(dataset, treated_only=True)
+    ols = fit_ols(dataset)
     assert np.allclose(refit_o.coef, ols.coef, atol=1e-9)
 
 
