@@ -14,6 +14,7 @@ from pbrdr import (
     DegenerateData,
     DegenerateWeights,
     DomainError,
+    NonConvergence,
     NuisanceFit,
     RankDeficient,
     Separation,
@@ -305,6 +306,84 @@ def test_weighted_lasso_degenerate_weights():
     gamma = Coefficients(np.array([-50.0, 0.0]), 0.0, 0.0)  # pi ~ 0 on treated
     with pytest.raises(DegenerateWeights):
         fit_weighted_outcome_lasso(data, gamma, 0.1)
+
+
+def _outcome_lasso_case(p, weighted):
+    """(data, weights, lam, fit) of an outcome lasso at the suite's penalty level;
+    the weighted fit takes a logistic-lasso propensity, which cannot diverge."""
+    data = random_dataset(30 + p, n=100, p=p)
+    lam_gamma, lam_beta = default_penalties(data.n, data.p)
+    if not weighted:
+        lam = lam_beta * data.n_treated / data.n
+        return data, data.a, lam, fit_linear_lasso(data, lam)
+    gamma = fit_logistic_lasso(data, lam_gamma)
+    weights = np.where(data.a == 1.0, np.exp(-(data.design() @ gamma.coef)), 0.0)
+    lam = lam_beta * float(weights.sum()) / data.n
+    return data, weights, lam, fit_weighted_outcome_lasso(data, gamma, lam)
+
+
+@pytest.mark.parametrize("weighted", [True, False], ids=["weighted", "linear"])
+@pytest.mark.parametrize("p", [400, 40])
+def test_working_set_lasso_matches_dense_coordinate_descent(p, weighted):
+    from pbrdr.solvers import DEFAULT_CD_SWEEPS, DEFAULT_TOL, _cd_quadratic
+
+    data, weights, lam, fit = _outcome_lasso_case(p, weighted)
+    # the same problem on the full dense Gram matrix, standardized independently
+    scales = np.std(data.x, axis=0, ddof=1)
+    z = np.hstack([np.ones((data.n, 1)), data.x / scales])
+    gram = (z * weights[:, None]).T @ z / data.n
+    lin = z.T @ (weights * data.y) / data.n
+    x0 = np.zeros(p + 1)
+    x0[0] = lin[0] / gram[0, 0]
+    penalized = np.arange(p + 1) > 0
+    dense, *_ = _cd_quadratic(gram, lin, lam, penalized, x0, DEFAULT_TOL, DEFAULT_CD_SWEEPS)
+    coef_std = fit.coef.copy()
+    coef_std[1:] *= scales
+    assert np.max(np.abs(coef_std - dense)) <= 1e-7
+    assert 0 < len(fit.active_set) < p
+    # the reported residual is the full-design one, recomputed here from scratch
+    grad = z.T @ (weights * (z @ coef_std - data.y)) / data.n
+    assert fit.kkt_residual <= DEFAULT_TOL
+    assert l1_violation(grad, coef_std, lam) == pytest.approx(fit.kkt_residual, abs=1e-12)
+    trace = fit.objective_trace
+    assert len(trace) == fit.n_iter + 1
+    assert np.all(np.diff(trace) <= 1e-12 * np.maximum(1.0, np.abs(trace[:-1])))
+
+
+@pytest.mark.parametrize("weighted", [True, False], ids=["weighted", "linear"])
+def test_working_set_lasso_budget_exhaustion(weighted):
+    data, weights, lam, fit = _outcome_lasso_case(400, weighted)
+    assert fit.n_iter > 1
+    one_sweep = SolverOptions(max_iter=1)
+    with pytest.raises(NonConvergence):
+        if weighted:
+            gamma = fit_logistic_lasso(data, default_penalties(data.n, data.p)[0])
+            fit_weighted_outcome_lasso(data, gamma, lam, one_sweep)
+        else:
+            fit_linear_lasso(data, lam, opts=one_sweep)
+
+
+def test_dataset_is_read_only_and_builds_its_design_once():
+    x = np.random.default_rng(12).standard_normal((30, 3))
+    a = np.tile([0.0, 1.0], 15)
+    y = np.arange(30.0)
+    data = Dataset(y, a, x)
+    # writeable input is copied, so later writes by the caller do not leak in
+    x[0, 0] = 99.0
+    assert data.x[0, 0] != 99.0
+    z = data.design()
+    assert data.design() is z
+    for arr in (z, data.x, data.y, data.a):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    with pytest.raises(AttributeError):
+        data.x = x
+    # read-only input is shared, and so is everything the recoded arm reuses
+    again = Dataset(data.y, data.a, data.x)
+    assert again.x is data.x and again.y is data.y
+    swapped = data.swap_treatment()
+    assert swapped.x is data.x and swapped.y is data.y and swapped.design() is z
+    assert np.array_equal(swapped.a, 1.0 - data.a)
 
 
 # ---------------------------------------------------------------------------
