@@ -179,6 +179,7 @@ def load_csv_dataset(path, schema: CsvSchema) -> Tuple[Dataset, List[str]]:
     if len(y) < 10:
         raise _InputError(f"{path}: only {len(y)} usable rows after parsing; need at least 10")
     x_arr = np.array(x, dtype=float) if cov_cols else np.zeros((len(y), 0))
+    x_arr.flags.writeable = False  # handed over: the dataset need not copy it
     try:
         data = Dataset(np.array(y), np.array(a), x_arr)
     except ValueError as exc:

@@ -228,6 +228,7 @@ def draw_dataset(
     """
     rng_x, rng_a, rng_y = rng.spawn(3)
     x = gen_covariates(n, p, correlated, rng_x)
+    x.flags.writeable = False  # handed over: the dataset need not copy it
     a = (rng_a.random(n) < model.pi0(x)).astype(float)
     y = model.m0(x) + rng_y.standard_normal(n)
     return Dataset(y, a, x)

@@ -375,18 +375,15 @@ def _working_set_cd(z, weights, lin, lam, penalized, x0, tol, max_sweeps):
     """Working-set coordinate descent for ``0.5 x'Gx - c'x + lam * ||x[penalized]||_1``
     with ``G = z' diag(weights) z / n``, never forming ``G`` in full.
 
-    The working set starts with the unpenalized and nonzero coordinates. Each
-    pass solves the problem restricted to it by :func:`_cd_quadratic` on its
-    small Gram matrix, warm-started at the current iterate and drawing on one
-    ``max_sweeps`` budget, then takes the gradient of the zero coordinates
-    outside it from the fitted values (two products with ``z``). The KKT
-    residual over all coordinates is the larger of the restricted solve's and
-    the excess of those gradients over ``lam``; the loop stops once it is at
-    most the floored tolerance of :func:`_cd_quadratic`, and otherwise every
-    coordinate with an excess joins the set, so every pass that does not stop
-    grows it. Returns (x, kkt, sweeps, objective_trace) as
-    :func:`_cd_quadratic` does; the trace joins the restricted traces, each
-    after the first without its starting value.
+    Each pass runs :func:`_cd_quadratic` on the working set's small Gram
+    matrix, warm-started, on one shared ``max_sweeps`` budget; the set starts
+    with the unpenalized and nonzero coordinates. The zero coordinates outside
+    it are then checked against the full gradient: the KKT residual is the
+    larger of the restricted solve's and their excess of ``|grad_j|`` over
+    ``lam``. Above the floored tolerance of :func:`_cd_quadratic`, every
+    coordinate with an excess joins, so each further pass has a larger set.
+    Returns (x, kkt, sweeps, objective_trace) as :func:`_cd_quadratic` does;
+    the trace joins the restricted traces, dropping each later one's start.
     """
     n = z.shape[0]
     floor = max(tol, 64.0 * np.finfo(float).eps * float(np.max(np.abs(lin))))
@@ -410,6 +407,9 @@ def _working_set_cd(z, weights, lin, lam, penalized, x0, tol, max_sweeps):
         sweeps += done
         traces.append(trace[1:] if traces else trace)
         grad = z.T @ (weights * (zw @ x[idx])) / n - lin
+        # Working-set coordinates keep the restricted solve's residual: at
+        # large outcome scales the rounding of the two products with ``z``
+        # alone can exceed the floor, and no sweep would then lower it.
         excess = np.where(working, 0.0, np.abs(grad) - lam)
         kkt = max(kkt, float(excess.max()))
         if kkt <= floor:

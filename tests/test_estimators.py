@@ -314,11 +314,16 @@ def test_suite_errors_do_not_keep_data_alive():
         gc.enable()
 
 
-@pytest.mark.parametrize("seed, tag", [(0, "DS-P-BR"), (2, "LASSO")], ids=["DS-P-BR", "LASSO"])
-def test_ds_pbr_large_outcome_scale(seed, tag):
+@pytest.mark.parametrize(
+    "seed, n, p, tag",
+    [(0, 120, 5, "DS-P-BR"), (2, 120, 5, "LASSO"), (16, 60, 20, "P-BR")],
+    ids=["DS-P-BR", "LASSO", "P-BR-working-set"],
+)
+def test_ds_pbr_large_outcome_scale(seed, n, p, tag):
     # the unpenalized normal equations of the refit and the lasso outcome fits
-    # are solved to float precision relative to the units of y
-    data = random_dataset(seed)
+    # are solved to float precision relative to the units of y; the last case
+    # stalls if the working set's residual is taken from the design products
+    data = random_dataset(seed, n=n, p=p)
     entry = estimate_suite(Dataset(data.y * 1e8, data.a, data.x), [tag])[tag]
     assert entry.ok, entry.error
     assert math.isfinite(entry.result.mu_hat)
