@@ -308,18 +308,18 @@ def test_weighted_lasso_degenerate_weights():
         fit_weighted_outcome_lasso(data, gamma, 0.1)
 
 
-def _outcome_lasso_case(p, weighted):
+def _outcome_lasso_case(p, weighted, opts=None):
     """(data, weights, lam, fit) of an outcome lasso at the suite's penalty level;
     the weighted fit takes a logistic-lasso propensity, which cannot diverge."""
     data = random_dataset(30 + p, n=100, p=p)
     lam_gamma, lam_beta = default_penalties(data.n, data.p)
     if not weighted:
         lam = lam_beta * data.n_treated / data.n
-        return data, data.a, lam, fit_linear_lasso(data, lam)
+        return data, data.a, lam, fit_linear_lasso(data, lam, opts=opts)
     gamma = fit_logistic_lasso(data, lam_gamma)
     weights = np.where(data.a == 1.0, np.exp(-(data.design() @ gamma.coef)), 0.0)
     lam = lam_beta * float(weights.sum()) / data.n
-    return data, weights, lam, fit_weighted_outcome_lasso(data, gamma, lam)
+    return data, weights, lam, fit_weighted_outcome_lasso(data, gamma, lam, opts)
 
 
 @pytest.mark.parametrize("weighted", [True, False], ids=["weighted", "linear"])
@@ -352,15 +352,9 @@ def test_working_set_lasso_matches_dense_coordinate_descent(p, weighted):
 
 @pytest.mark.parametrize("weighted", [True, False], ids=["weighted", "linear"])
 def test_working_set_lasso_budget_exhaustion(weighted):
-    data, weights, lam, fit = _outcome_lasso_case(400, weighted)
-    assert fit.n_iter > 1
-    one_sweep = SolverOptions(max_iter=1)
+    assert _outcome_lasso_case(400, weighted)[3].n_iter > 1
     with pytest.raises(NonConvergence):
-        if weighted:
-            gamma = fit_logistic_lasso(data, default_penalties(data.n, data.p)[0])
-            fit_weighted_outcome_lasso(data, gamma, lam, one_sweep)
-        else:
-            fit_linear_lasso(data, lam, opts=one_sweep)
+        _outcome_lasso_case(400, weighted, SolverOptions(max_iter=1))
 
 
 def test_dataset_is_read_only_and_builds_its_design_once():
