@@ -36,8 +36,8 @@ class Dataset:
 
     A dataset is immutable: its fields cannot be rebound and ``y``, ``a`` and
     ``x`` are read-only arrays. ``_cache`` holds arrays derived from ``x``
-    alone (the design and its standardized forms), built once and shared by
-    every dataset with the same ``x``.
+    alone (the design and its standardized forms), built once and shared
+    with the recoded dataset from :meth:`swap_treatment`.
     """
 
     y: np.ndarray
