@@ -62,7 +62,7 @@ class RunManifest:
     command: str
     argv: List[str]
     config: Dict
-    seed: Optional[int]
+    seed: Optional[int] = None
     version: str = __version__
     wall_time_s: float = 0.0
     statuses: Dict = field(default_factory=dict)
@@ -130,52 +130,51 @@ def load_csv_dataset(path, schema: CsvSchema) -> Tuple[Dataset, List[str]]:
         if schema.covariate_cols is not None
         else [h for h in header if h not in (schema.outcome_col, schema.treatment_col)]
     )
-
-    def parse_rows(cov_cols: List[str]):
-        y, a, x = [], [], []
-        for lineno, row in enumerate(rows, start=2):  # header is line 1
-            if len(row) != len(header):
-                raise _InputError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            cells = [row[idx[c]] for c in [schema.outcome_col, schema.treatment_col] + cov_cols]
-            if any(_is_missing(c) for c in cells):
-                if schema.na_policy == "drop_rows":
-                    continue
-                raise _InputError(f"{path}:{lineno}: missing value with na_policy=error")
-            a_token = row[idx[schema.treatment_col]].strip()
-            if a_token not in ("0", "1"):
-                raise _InputError(
-                    f"{path}:{lineno}: treatment column {schema.treatment_col!r} must be 0 or 1, "
-                    f"got {a_token!r}"
-                )
+    # Parse each candidate covariate token once, in place: a number becomes a
+    # float and a missing value None; a token that is not a number stays text,
+    # which excludes its column when the covariates are auto-detected. Fields
+    # past the end of a short row are absent, not missing.
+    width = len(header)
+    positions = sorted({idx[c] for c in candidates})
+    text_positions = set()
+    for row in rows:
+        for j in positions if len(row) >= width else [j for j in positions if j < len(row)]:
+            if _is_missing(row[j]):
+                row[j] = None
+                continue
             try:
-                y.append(float(row[idx[schema.outcome_col]]))
-                x.append([float(row[idx[c]]) for c in cov_cols])
-            except ValueError as exc:
-                raise _InputError(f"{path}:{lineno}: {exc}") from exc
-            a.append(float(a_token))
-        return y, a, x
-
+                row[j] = float(row[j])
+            except ValueError:
+                text_positions.add(j)
     if schema.covariate_cols is None:
-        # auto-detect: keep columns whose non-missing entries all parse as floats
-        numeric = []
-        for col in candidates:
-            ok = True
-            for row in rows:
-                token = row[idx[col]] if idx[col] < len(row) else ""
-                if _is_missing(token):
-                    continue
-                try:
-                    float(token)
-                except ValueError:
-                    ok = False
-                    break
-            if ok:
-                numeric.append(col)
-        cov_cols = numeric
+        cov_cols = [c for c in candidates if idx[c] not in text_positions]
     else:
         cov_cols = list(schema.covariate_cols)
 
-    y, a, x = parse_rows(cov_cols)
+    cov_idx = [idx[c] for c in cov_cols]
+    iy, ia = idx[schema.outcome_col], idx[schema.treatment_col]
+    y, a, x = [], [], []
+    for lineno, row in enumerate(rows, start=2):  # header is line 1
+        if len(row) != width:
+            raise _InputError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
+        cells = [row[j] for j in cov_idx]
+        if None in cells or _is_missing(row[iy]) or _is_missing(row[ia]):
+            if schema.na_policy == "drop_rows":
+                continue
+            raise _InputError(f"{path}:{lineno}: missing value with na_policy=error")
+        a_token = row[ia].strip()
+        if a_token not in ("0", "1"):
+            raise _InputError(
+                f"{path}:{lineno}: treatment column {schema.treatment_col!r} must be 0 or 1, "
+                f"got {a_token!r}"
+            )
+        try:
+            y.append(float(row[iy]))
+            # floats pass through unchanged; a covariate left as text raises
+            x.append([float(c) for c in cells])
+        except ValueError as exc:
+            raise _InputError(f"{path}:{lineno}: {exc}") from exc
+        a.append(float(a_token))
     if len(y) < 10:
         raise _InputError(f"{path}: only {len(y)} usable rows after parsing; need at least 10")
     x_arr = np.array(x, dtype=float) if cov_cols else np.zeros((len(y), 0))
@@ -259,7 +258,6 @@ def cmd_estimate(args) -> int:
     payload["n"] = data.n
     payload["n_treated"] = data.n_treated
     payload["covariates"] = cov_cols
-    payload["seed"] = args.seed
     report = Path(args.report) if args.report else Path(args.csv).with_suffix(".estimate.json")
     manifest = RunManifest(
         command="estimate",
@@ -273,7 +271,6 @@ def cmd_estimate(args) -> int:
             "target": args.target,
             "na_policy": args.na_policy,
         },
-        seed=args.seed,
     )
     manifest.statuses = {args.estimator: "ok"}
     manifest.wall_time_s = time.perf_counter() - t0
@@ -349,6 +346,8 @@ def _parse_range(text: str, name: str) -> np.ndarray:
         lo, hi, step = (float(p) for p in parts)
     except ValueError:
         raise _InputError(f"{name} must contain numbers, got {text!r}") from None
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise _InputError(f"{name} must contain finite numbers, got {text!r}")
     if step <= 0:
         raise _InputError(f"{name}: step must be positive, got {step}")
     if hi < lo:
@@ -420,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     est.add_argument("--estimator", default="P-BR", choices=list(ALL_TAGS))
     est.add_argument("--target", default="mu1", choices=["mu1", "mu0", "ate"])
-    est.add_argument("--seed", type=int, default=None, help="recorded in the report (estimation is deterministic)")
     est.add_argument("--na-policy", default="drop_rows", choices=["drop_rows", "error"])
     est.add_argument("--report", default=None, help="report JSON path (default: <csv>.estimate.json)")
     est.set_defaults(func=cmd_estimate)

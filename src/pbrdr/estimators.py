@@ -35,6 +35,7 @@ from .solvers import (
     fit_ols,
     fit_weighted_outcome_lasso,
     post_lasso_refit,
+    _inverse_odds_weights,
 )
 
 # Fitted propensities below this value on units that need weighting raise
@@ -211,24 +212,6 @@ def pop_iptw_estimate(
     return _result_from_influence(u, estimator, se_is_naive=True)
 
 
-def _weight_normalized_level(data: Dataset, gamma: np.ndarray, lam_beta: float) -> float:
-    """Outcome-stage penalty on the weight-normalized scale.
-
-    The solver objective divides the weighted squared loss by the full sample
-    size ``n``, whereas weighted-lasso software fitting the treated subsample
-    divides by the weight total. A nominal level ``lam_beta`` on the latter
-    scale corresponds to ``lam_beta * sum_i(w_i A_i) / n`` on the solver's
-    scale, which is the convention the benchmark estimators are defined on.
-    """
-    u = data.design() @ gamma
-    treated = data.a == 1.0
-    with np.errstate(over="ignore"):
-        w_sum = float(np.exp(-u[treated]).sum())
-    if not math.isfinite(w_sum):
-        return lam_beta
-    return lam_beta * w_sum / data.n
-
-
 def estimate_pbr(data: Dataset) -> EstimateResult:
     """Full penalised bias-reduced pipeline.
 
@@ -288,8 +271,12 @@ def _suite_builders(data: Dataset, lam_gamma: float, lam_beta: float):
 
     def b_pbr():
         def build():
+            # The nominal level lives on the weight-normalized scale of
+            # weighted-lasso software fitting the treated subsample, which
+            # divides by the weight total; the solver divides by the full n.
             gamma = g_pbr()
-            lam_eff = _weight_normalized_level(data, gamma.coef, lam_beta)
+            w_t = _inverse_odds_weights(data, gamma.coef)[data.a == 1.0]
+            lam_eff = lam_beta * float(w_t.sum()) / data.n
             return fit_weighted_outcome_lasso(data, gamma, lam_eff)
 
         return shared("b_pbr", build)

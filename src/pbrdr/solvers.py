@@ -20,7 +20,9 @@ Three engines solve them: accelerated proximal gradient for the penalised
 propensity losses, damped Newton for the smooth unpenalized ones, and, for
 the penalised squared losses, working-set coordinate descent, which forms
 the Gram matrix of the working set only and screens the other coordinates
-with the full design's gradient.
+with the full design's gradient. The unpenalized squared losses (OLS, the
+post-selection outcome refits and the bias-reduced outcome equations) share
+one weighted least-squares solve, :func:`_least_squares`.
 
 Conventions shared by every fitter:
 
@@ -76,13 +78,10 @@ class SolverOptions:
     raises :class:`NonConvergence`; there is no silent partial return.
     """
 
-    tol: float = DEFAULT_TOL
     max_iter: Optional[int] = None
     standardize: bool = True
 
     def __post_init__(self) -> None:
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
         if self.max_iter is not None and self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -223,6 +222,22 @@ def _kkt_sup_norm(grad: np.ndarray, coef: np.ndarray, lam: float, penalized: np.
 
 def _soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+
+
+def _least_squares(z: np.ndarray, w: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int, float]:
+    """Minimum-norm minimiser of ``sum_i w_i (y_i - b.z_i)^2`` for weights ``w >= 0``.
+
+    One ``lstsq`` factorization of ``sqrt(w) z`` over the rows with ``w > 0``,
+    so the condition number is the design's, not its Gram matrix's square.
+    Returns the coefficients, the numerical rank and the mean-scale residual
+    of the normal equations, ``max|z'W(y - zb)| / n``.
+    """
+    rows = w > 0.0
+    root = np.sqrt(w[rows])
+    z_w, y_w = z[rows], y[rows]
+    coef, _, rank, _ = np.linalg.lstsq(z_w * root[:, None], y_w * root, rcond=None)
+    resid = z_w.T @ (w[rows] * (y_w - z_w @ coef))
+    return coef, int(rank), float(np.max(np.abs(resid))) / z.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +556,7 @@ def _fit_propensity_lasso(
     abar = data.a.mean()
     x0[0] = math.log(abar / (1.0 - abar))
     coef, kkt, n_iter, trace = _prox_gradient(
-        loss(z, data.a), x0, lam, mask, opts.tol, opts.max_iter or DEFAULT_PROX_ITER
+        loss(z, data.a), x0, lam, mask, DEFAULT_TOL, opts.max_iter or DEFAULT_PROX_ITER
     )
     gamma = _back_transform(coef, scales)
     return Coefficients(gamma, lam, kkt, n_iter, trace)
@@ -555,7 +570,7 @@ def fit_calibration_lasso(
     Minimises ``(1/n) sum_i [A_i exp(-g.z_i) + (1-A_i) g.z_i] + lam ||g||_1``
     (intercept unpenalized). At the solution the covariate-
     balancing score ``(1/n) sum_i {1 - A_i/pi_i} z_i`` satisfies the l1
-    stationarity conditions to within ``opts.tol`` in sup-norm; with an
+    stationarity conditions to within ``DEFAULT_TOL`` in sup-norm; with an
     unpenalized intercept this implies the calibration identity
     ``(1/n) sum_i A_i / pi_i = 1``.
     """
@@ -601,37 +616,35 @@ def _weighted_lasso(
 
     ``n`` is the full number of rows regardless of how many carry weight, so a
     treated-only fit is the ``W_i = A_i`` specialization of the weighted one.
-    With ``lam == 0`` the (possibly rank-deficient) normal equations are
-    solved directly; otherwise working-set coordinate descent
-    (:func:`_working_set_cd`) performs exact coordinate updates on the Gram
-    matrix of the working set only, so the cost per pass is O(n p) plus the
-    working set's, never O(n p^2).
+    With ``lam == 0`` the (possibly rank-deficient) problem takes the
+    minimum-norm solution of :func:`_least_squares`, the solve :func:`fit_ols`
+    also uses; its normal-equation residual, on the 1/n mean scale, must be
+    within ``DEFAULT_TOL`` relative to ``max|z'Wy| / n``. Otherwise
+    working-set coordinate descent (:func:`_working_set_cd`) performs exact
+    coordinate updates on the Gram matrix of the working set only, so the
+    cost per pass is O(n p) plus the working set's, never O(n p^2).
     """
     n = data.n
     z, scales = _standardized_design(data, opts)
-    mask = _penalized_mask(data.p + 1)
+    lin = z.T @ (weights * data.y) / n
     if lam == 0.0:
-        wz = z * weights[:, None]
-        gram = wz.T @ z / n
-        lin = wz.T @ data.y / n
-        coef, *_ = np.linalg.lstsq(gram, lin, rcond=None)
+        coef, _, kkt = _least_squares(z, weights, data.y)
         coef[np.abs(coef) < ZERO_SNAP] = 0.0
-        kkt = _kkt_sup_norm(gram @ coef - lin, coef, 0.0, mask)
         # Relative to the size of the right-hand side: the attainable residual
         # scales with the units of y.
-        if kkt > opts.tol * max(1.0, float(np.max(np.abs(lin)))):
+        if kkt > DEFAULT_TOL * max(1.0, float(np.max(np.abs(lin)))):
             raise NonConvergence(
                 f"normal equations could not be solved to tolerance (residual {kkt:.3e})"
             )
         beta = _back_transform(coef, scales)
         return Coefficients(beta, 0.0, kkt, 1)
-    lin = z.T @ (weights * data.y) / n
+    mask = _penalized_mask(data.p + 1)
     x0 = np.zeros(data.p + 1)
     weight_mean = float(weights.sum()) / n
     if weight_mean > 0.0:
         x0[0] = lin[0] / weight_mean
     coef, kkt, sweeps, trace = _working_set_cd(
-        z, weights, lin, lam, mask, x0, opts.tol, opts.max_iter or DEFAULT_CD_SWEEPS
+        z, weights, lin, lam, mask, x0, DEFAULT_TOL, opts.max_iter or DEFAULT_CD_SWEEPS
     )
     beta = _back_transform(coef, scales)
     return Coefficients(beta, lam, kkt, sweeps, trace)
@@ -700,7 +713,7 @@ def fit_logistic_mle(data: Dataset, opts: Optional[SolverOptions] = None) -> Coe
             loss,
             loss.hess,
             np.zeros(data.p + 1),
-            opts.tol,
+            DEFAULT_TOL,
             opts.max_iter or DEFAULT_NEWTON_ITER,
             Separation("coefficient norm diverged; data appear perfectly separated"),
             norm_guard=100.0,
@@ -717,23 +730,20 @@ def fit_logistic_mle(data: Dataset, opts: Optional[SolverOptions] = None) -> Coe
 def fit_ols(data: Dataset) -> Coefficients:
     """Ordinary least squares on the treated subsample.
 
-    The design must have full column rank on the treated units. Residual
-    orthogonality ``(1/m) sum_i r_i z_i = 0`` holds at solver precision
-    (``m`` the number of treated units).
+    The design must have full column rank on the treated units. The fit is
+    :func:`_least_squares` with unit treated weights, the solve the
+    ``lam == 0`` outcome fits share; ``kkt_residual`` is its residual
+    orthogonality ``max|(1/n) sum_i A_i r_i z_i|``, on the 1/n mean scale of
+    every fitter.
     """
-    sel = data.a == 1.0
-    m = int(sel.sum())
+    m = data.n_treated
     if m == 0:
         raise DegenerateData("no treated units; OLS cannot be fit")
     if m <= data.p:
         raise RankDeficient(f"subsample size {m} cannot support {data.p + 1} coefficients")
-    z = data.design()[sel]
-    y = data.y[sel]
-    coef, _, rank, _ = np.linalg.lstsq(z, y, rcond=None)
+    coef, rank, kkt = _least_squares(data.design(), data.a, data.y)
     if rank < data.p + 1:
         raise RankDeficient("design matrix is rank deficient on the fitting subsample")
-    resid = y - z @ coef
-    kkt = float(np.max(np.abs(z.T @ resid))) / m
     return Coefficients(coef, 0.0, kkt, 1)
 
 
@@ -810,7 +820,7 @@ def fit_br_refit(
         value_grad,
         lambda coef: loss.hess(coef) + np.diag(ridge),
         x0,
-        opts.tol,
+        DEFAULT_TOL,
         opts.max_iter or DEFAULT_NEWTON_ITER,
         UnboundedObjective("ridge-stabilised propensity solve diverged"),
     )

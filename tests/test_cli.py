@@ -126,6 +126,38 @@ def test_covariate_autodetect_skips_text_columns(tmp_path):
     assert data.p == 1
 
 
+@pytest.mark.parametrize("covariates", [None, "x1,x2"], ids=["auto", "explicit"])
+@pytest.mark.parametrize("bad_treatment, line", [(True, ":6:"), (False, ":9:")])
+def test_csv_errors_reported_in_file_order(tmp_path, capsys, covariates, bad_treatment, line):
+    rows = ["y,a,x1,x2"] + [f"{i * 0.1},{i % 2},{i * 0.3},{i * 0.7}" for i in range(14)]
+    if bad_treatment:
+        rows[5] = "0.4,2,1.2,2.8"  # line 6
+    rows[8] = "0.7,1,2.1"  # short row on line 9
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(rows) + "\n")
+    argv = ["estimate", "--csv", str(path), "--outcome", "y", "--treatment", "a",
+            "--report", str(tmp_path / "rep.json")]
+    assert main(argv + (["--covariates", covariates] if covariates else [])) == 2
+    err = capsys.readouterr().err
+    assert line in err
+    assert ("must be 0 or 1" if bad_treatment else "expected 4 fields, got 3") in err
+
+
+def test_autodetected_missing_tokens_drop_rows(tmp_path, capsys):
+    rows = ["y,a,x1"] + [f"{i * 0.1},{i % 2},{i * 0.3}" for i in range(14)]
+    rows[2], rows[3], rows[4] = "0.1,1,nan", "0.2,0,NA", "0.3,1,"
+    path = tmp_path / "na.csv"
+    path.write_text("\n".join(rows) + "\n")
+    data, cols = load_csv_dataset(path, CsvSchema("y", "a"))
+    assert cols == ["x1"] and data.n == 11
+    rows[5] = "0.4,0,+nan"  # parses as a float, so it is not a missing token
+    path.write_text("\n".join(rows) + "\n")
+    code = main(["estimate", "--csv", str(path), "--outcome", "y", "--treatment", "a",
+                 "--report", str(tmp_path / "rep.json")])
+    assert code == 2
+    assert "y and x must contain only finite values" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -227,6 +259,14 @@ def test_bias_surface_bad_range(tmp_path):
     proc = run_cli("bias-surface", "--variant", "fig2", "--gamma-range", "0:1",
                    "--beta-range", "0:1:0.5", "--out", str(tmp_path / "o"))
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("gamma_range", ["nan:1:0.5", "0:1:nan", "0:inf:1", "0:1:inf"])
+def test_bias_surface_non_finite_range(tmp_path, capsys, gamma_range):
+    code = main(["bias-surface", "--variant", "fig1", f"--gamma-range={gamma_range}",
+                 "--beta-range", "0:1:0.5", "--n-large", "2000", "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -486,6 +486,9 @@ def test_ols_matches_normal_equations(dataset):
     z = dataset.design()[sel]
     oracle = np.linalg.solve(z.T @ z, z.T @ dataset.y[sel])
     assert np.allclose(fit.coef, oracle, atol=1e-9)
+    # residual orthogonality on the 1/n mean scale of every fitter
+    resid = float(np.max(np.abs(z.T @ (dataset.y[sel] - z @ fit.coef)))) / dataset.n
+    assert fit.kkt_residual == pytest.approx(resid, rel=1e-3, abs=0.0)
 
 
 def test_ols_rank_deficient():
@@ -623,6 +626,18 @@ def test_br_refit_residual_at_solution(dataset):
     assert np.max(np.abs(out_score)) <= 1e-7
 
 
+def test_br_refit_duplicated_column_is_minimum_norm(dataset):
+    # A repeated covariate leaves the outcome equations rank deficient; the
+    # refit returns their minimum-norm solution, which splits the weight evenly.
+    x = np.column_stack([dataset.x[:, :2], dataset.x[:, 0]])
+    data = Dataset(dataset.y, dataset.a, x)
+    fit = fit_br_refit(data, [1, 2, 3], 0.05)
+    assert np.all(np.isfinite(fit.beta.coef))
+    assert fit.beta.coef[1] == pytest.approx(fit.beta.coef[3], rel=1e-8)
+    out_score = weighted_outcome_score(data, fit.gamma.coef, fit.beta.coef)
+    assert np.max(np.abs(out_score)) <= 1e-7
+
+
 # ---------------------------------------------------------------------------
 # analytic gradients vs central finite differences
 # ---------------------------------------------------------------------------
@@ -716,8 +731,6 @@ def test_zero_lambda_low_dimensional_reduction():
 
 
 def test_solver_options_validation():
-    with pytest.raises(ValueError):
-        SolverOptions(tol=0.0)
     with pytest.raises(ValueError):
         SolverOptions(max_iter=0)
 
