@@ -53,7 +53,6 @@ from .simulation import (
 from .solvers import (
     Coefficients,
     NuisanceFit,
-    SolverOptions,
     default_penalties,
     fit_br_refit,
     fit_calibration_lasso,

@@ -18,6 +18,7 @@ import math
 import re
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -111,6 +112,9 @@ def load_csv_dataset(path, schema: CsvSchema) -> Tuple[Dataset, List[str]]:
         except StopIteration:
             raise _InputError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
+        repeated = [h for h, k in Counter(header).items() if k > 1]
+        if repeated:
+            raise _InputError(f"{path}: column name {repeated[0]!r} repeats in header {header}")
         for col in (schema.outcome_col, schema.treatment_col):
             if col not in header:
                 raise _InputError(f"{path}: column {col!r} not found in header {header}")
@@ -124,7 +128,7 @@ def load_csv_dataset(path, schema: CsvSchema) -> Tuple[Dataset, List[str]]:
                     )
         rows = list(reader)
 
-    idx = {name: header.index(name) for name in header}
+    idx = {name: j for j, name in enumerate(header)}
     candidates = (
         schema.covariate_cols
         if schema.covariate_cols is not None

@@ -36,8 +36,9 @@ class Dataset:
 
     A dataset is immutable: its fields cannot be rebound and ``y``, ``a`` and
     ``x`` are read-only arrays. ``_cache`` holds arrays derived from ``x``
-    alone (the design and its standardized forms), built once and shared
-    with the recoded dataset from :meth:`swap_treatment`.
+    alone (the design and its unit-SD form, the only scale the fitters solve
+    on), built once and shared with the recoded dataset from
+    :meth:`swap_treatment`.
     """
 
     y: np.ndarray

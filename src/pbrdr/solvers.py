@@ -27,11 +27,15 @@ one weighted least-squares solve, :func:`_least_squares`.
 Conventions shared by every fitter:
 
 * designs carry a leading intercept column; the intercept is never penalized;
-* the (standardized) design is built once per :class:`Dataset` and cached on it;
-* covariates are internally rescaled to unit sample standard deviation
-  before penalization and coefficients mapped back afterwards
-  (``SolverOptions.standardize``); reported KKT residuals live on the
-  standardized scale, which is the scale of the problem actually solved;
+* the standardized design is built once per :class:`Dataset` and cached on it;
+* covariates are always rescaled to unit sample standard deviation before
+  fitting, as in glmnet, and coefficients mapped back afterwards, so the
+  ``lam * ||.||_1`` penalties (and the ridge term of :func:`fit_br_refit`)
+  apply to coefficients on the unit-SD scale; reported KKT residuals live on
+  that scale, which is the scale of the problem actually solved;
+* iteration budgets are the module constants ``DEFAULT_PROX_ITER``,
+  ``DEFAULT_CD_SWEEPS`` and ``DEFAULT_NEWTON_ITER``, read at call time; a
+  spent budget raises :class:`NonConvergence`, never a partial result;
 * all score/KKT residuals are on the mean scale, i.e. ``(1/n) sum_i ...``;
 * solvers are pure functions of their inputs: no internal randomness.
 """
@@ -67,26 +71,6 @@ DEFAULT_TOL = 1e-8
 DEFAULT_PROX_ITER = 10_000
 DEFAULT_CD_SWEEPS = 100_000
 DEFAULT_NEWTON_ITER = 200
-
-
-@dataclass
-class SolverOptions:
-    """Stopping and preprocessing controls shared by all iterative fitters.
-
-    ``max_iter`` of ``None`` selects the per-solver default (10^4 proximal
-    steps, 10^5 coordinate sweeps, 200 Newton iterations). Hitting the budget
-    raises :class:`NonConvergence`; there is no silent partial return.
-    """
-
-    max_iter: Optional[int] = None
-    standardize: bool = True
-
-    def __post_init__(self) -> None:
-        if self.max_iter is not None and self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-
-
-DEFAULT_OPTIONS = SolverOptions()
 
 
 @dataclass
@@ -165,22 +149,21 @@ def _column_scales(x: np.ndarray) -> np.ndarray:
     return np.where(s > 0.0, s, 1.0)
 
 
-def _standardized_design(data: Dataset, opts: SolverOptions) -> tuple[np.ndarray, np.ndarray]:
-    """Design with intercept, covariates scaled to unit sample SD when requested.
+def _standardized_design(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """Design with intercept, covariates scaled to unit sample SD, and the scales.
 
-    Both arrays are read-only and built once per dataset and ``opts.standardize``.
+    Both arrays are read-only and built once per dataset.
     """
-    key = ("standardized", opts.standardize)
-    if key not in data._cache:
-        scales = _column_scales(data.x) if opts.standardize else np.ones(data.p)
+    if "standardized" not in data._cache:
+        scales = _column_scales(data.x)
         z = data.design()
         if data.p:
             z = z.copy()
             z[:, 1:] /= scales
             z.flags.writeable = False
         scales.flags.writeable = False
-        data._cache[key] = (z, scales)
-    return data._cache[key]
+        data._cache["standardized"] = (z, scales)
+    return data._cache["standardized"]
 
 
 def _back_transform(coef: np.ndarray, scales: np.ndarray) -> np.ndarray:
@@ -539,32 +522,27 @@ def _require_both_arms(data: Dataset) -> None:
         raise DegenerateData("all treatment values are equal; the propensity model is not identified")
 
 
-def _fit_propensity_lasso(
-    loss: Callable, data: Dataset, lam: float, opts: Optional[SolverOptions]
-) -> Coefficients:
+def _fit_propensity_lasso(loss: Callable, data: Dataset, lam: float) -> Coefficients:
     """Proximal-gradient fit of ``loss(z, a)`` plus ``lam * ||g||_1``, started
     at the intercept-only logit of the treated fraction."""
-    opts = opts or DEFAULT_OPTIONS
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     if data.n < 2:
         raise DegenerateData("need at least two observations")
     _require_both_arms(data)
-    z, scales = _standardized_design(data, opts)
+    z, scales = _standardized_design(data)
     mask = _penalized_mask(data.p + 1)
     x0 = np.zeros(data.p + 1)
     abar = data.a.mean()
     x0[0] = math.log(abar / (1.0 - abar))
     coef, kkt, n_iter, trace = _prox_gradient(
-        loss(z, data.a), x0, lam, mask, DEFAULT_TOL, opts.max_iter or DEFAULT_PROX_ITER
+        loss(z, data.a), x0, lam, mask, DEFAULT_TOL, DEFAULT_PROX_ITER
     )
     gamma = _back_transform(coef, scales)
     return Coefficients(gamma, lam, kkt, n_iter, trace)
 
 
-def fit_calibration_lasso(
-    data: Dataset, lambda_gamma: float, opts: Optional[SolverOptions] = None
-) -> Coefficients:
+def fit_calibration_lasso(data: Dataset, lambda_gamma: float) -> Coefficients:
     """Fit the propensity model by the l1-penalised calibration loss.
 
     Minimises ``(1/n) sum_i [A_i exp(-g.z_i) + (1-A_i) g.z_i] + lam ||g||_1``
@@ -574,14 +552,12 @@ def fit_calibration_lasso(
     unpenalized intercept this implies the calibration identity
     ``(1/n) sum_i A_i / pi_i = 1``.
     """
-    return _fit_propensity_lasso(_calibration_value_grad, data, lambda_gamma, opts)
+    return _fit_propensity_lasso(_calibration_value_grad, data, lambda_gamma)
 
 
-def fit_logistic_lasso(
-    data: Dataset, lam: float, opts: Optional[SolverOptions] = None
-) -> Coefficients:
+def fit_logistic_lasso(data: Dataset, lam: float) -> Coefficients:
     """l1-penalised logistic maximum likelihood for the propensity model."""
-    return _fit_propensity_lasso(_logistic_value_grad, data, lam, opts)
+    return _fit_propensity_lasso(_logistic_value_grad, data, lam)
 
 
 # Treated propensities this close to 0 (or exactly 1 in float) break the
@@ -606,12 +582,7 @@ def _inverse_odds_weights(data: Dataset, gamma: np.ndarray) -> np.ndarray:
     return w
 
 
-def _weighted_lasso(
-    data: Dataset,
-    weights: np.ndarray,
-    lam: float,
-    opts: SolverOptions,
-) -> Coefficients:
+def _weighted_lasso(data: Dataset, weights: np.ndarray, lam: float) -> Coefficients:
     """Shared core: minimise ``(1/2n) sum_i W_i (y_i - b.z_i)^2 + lam ||b||_1``.
 
     ``n`` is the full number of rows regardless of how many carry weight, so a
@@ -625,7 +596,7 @@ def _weighted_lasso(
     cost per pass is O(n p) plus the working set's, never O(n p^2).
     """
     n = data.n
-    z, scales = _standardized_design(data, opts)
+    z, scales = _standardized_design(data)
     lin = z.T @ (weights * data.y) / n
     if lam == 0.0:
         coef, _, kkt = _least_squares(z, weights, data.y)
@@ -644,17 +615,14 @@ def _weighted_lasso(
     if weight_mean > 0.0:
         x0[0] = lin[0] / weight_mean
     coef, kkt, sweeps, trace = _working_set_cd(
-        z, weights, lin, lam, mask, x0, DEFAULT_TOL, opts.max_iter or DEFAULT_CD_SWEEPS
+        z, weights, lin, lam, mask, x0, DEFAULT_TOL, DEFAULT_CD_SWEEPS
     )
     beta = _back_transform(coef, scales)
     return Coefficients(beta, lam, kkt, sweeps, trace)
 
 
 def fit_weighted_outcome_lasso(
-    data: Dataset,
-    gamma_hat: Coefficients,
-    lambda_beta: float,
-    opts: Optional[SolverOptions] = None,
+    data: Dataset, gamma_hat: Coefficients, lambda_beta: float
 ) -> Coefficients:
     """Fit the outcome model by inverse-odds-weighted l1-penalised least squares.
 
@@ -663,7 +631,6 @@ def fit_weighted_outcome_lasso(
     is the weighted-score equation
     ``(1/n) sum_i w_i A_i (y_i - b.z_i) z_i = lam * subgrad``.
     """
-    opts = opts or DEFAULT_OPTIONS
     if lambda_beta < 0:
         raise ValueError("lambda_beta must be nonnegative")
     if data.n_treated == 0:
@@ -671,39 +638,32 @@ def fit_weighted_outcome_lasso(
     if not np.all(np.isfinite(gamma_hat.coef)):
         raise ValueError("gamma_hat must be finite")
     weights = _inverse_odds_weights(data, gamma_hat.coef)
-    return _weighted_lasso(data, weights, lambda_beta, opts)
+    return _weighted_lasso(data, weights, lambda_beta)
 
 
-def fit_linear_lasso(
-    data: Dataset,
-    lam: float,
-    *,
-    opts: Optional[SolverOptions] = None,
-) -> Coefficients:
+def fit_linear_lasso(data: Dataset, lam: float) -> Coefficients:
     """Plain (unweighted) l1-penalised least squares on the treated subsample.
 
     Unit weights: the objective is ``(1/2n) sum_i A_i (y_i - b.z_i)^2 + lam ||b||_1``
     with ``n`` the full number of rows.
     """
-    opts = opts or DEFAULT_OPTIONS
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     if data.n_treated == 0:
         raise DegenerateData("no treated units; the outcome lasso cannot be fit")
-    return _weighted_lasso(data, data.a.copy(), lam, opts)
+    return _weighted_lasso(data, data.a.copy(), lam)
 
 
-def fit_logistic_mle(data: Dataset, opts: Optional[SolverOptions] = None) -> Coefficients:
+def fit_logistic_mle(data: Dataset) -> Coefficients:
     """Unpenalized logistic maximum likelihood via damped Newton iterations.
 
     Divergent coefficients (norm above the guard on the standardized scale)
     raise :class:`Separation`, or :class:`RankDeficient` on a collinear design.
     """
-    opts = opts or DEFAULT_OPTIONS
     _require_both_arms(data)
     if data.n <= data.p + 1:
         raise RankDeficient("logistic MLE requires n > p + 1")
-    z, scales = _standardized_design(data, opts)
+    z, scales = _standardized_design(data)
     loss = _logistic_value_grad(z, data.a)
     # Logistic coefficients of norm ~100 on the standardized scale put every
     # fitted probability at 0/1 within float resolution: separation, even if
@@ -714,7 +674,7 @@ def fit_logistic_mle(data: Dataset, opts: Optional[SolverOptions] = None) -> Coe
             loss.hess,
             np.zeros(data.p + 1),
             DEFAULT_TOL,
-            opts.max_iter or DEFAULT_NEWTON_ITER,
+            DEFAULT_NEWTON_ITER,
             Separation("coefficient norm diverged; data appear perfectly separated"),
             norm_guard=100.0,
         )
@@ -747,12 +707,20 @@ def fit_ols(data: Dataset) -> Coefficients:
     return Coefficients(coef, 0.0, kkt, 1)
 
 
-def post_lasso_refit(
-    data: Dataset,
-    active_union: Iterable[int],
-    which: str,
-    opts: Optional[SolverOptions] = None,
-) -> Coefficients:
+def _restrict(data: Dataset, positions: Iterable[int], name: str) -> tuple[list[int], Dataset]:
+    """The sorted distinct coefficient positions ``1..p`` in ``positions`` and
+    the dataset of their covariates; ``name`` labels the range error."""
+    selected = sorted(set(int(j) for j in positions))
+    if any(j < 1 or j > data.p for j in selected):
+        raise ValueError(f"{name} entries must lie in 1..{data.p}")
+    # ``take``, unlike ``x[:, cols]``, returns a C-ordered array, so products
+    # with the refit design round as they do on any other dataset
+    x = data.x.take([j - 1 for j in selected], axis=1)
+    x.flags.writeable = False  # handed over: the dataset need not copy it
+    return selected, Dataset(data.y, data.a, x)
+
+
+def post_lasso_refit(data: Dataset, active_union: Iterable[int], which: str) -> Coefficients:
     """Refit an unpenalized model on the selected covariates only.
 
     ``active_union`` holds coefficient positions ``1..p``; excluded
@@ -762,25 +730,17 @@ def post_lasso_refit(
     """
     if which not in ("propensity", "outcome"):
         raise ValueError("which must be 'propensity' or 'outcome'")
-    selected = sorted(set(int(j) for j in active_union))
-    if any(j < 1 or j > data.p for j in selected):
-        raise ValueError(f"active_union entries must lie in 1..{data.p}")
-    sub = Dataset(data.y, data.a, data.x[:, [j - 1 for j in selected]])
+    selected, sub = _restrict(data, active_union, "active_union")
     relevant = sub.n_treated if which == "outcome" else sub.n
     if len(selected) + 1 >= relevant:
         raise RankDeficient(
             f"{len(selected)} selected covariates cannot be refit on {relevant} observations"
         )
-    fit = fit_logistic_mle(sub, opts) if which == "propensity" else fit_ols(sub)
+    fit = fit_logistic_mle(sub) if which == "propensity" else fit_ols(sub)
     return _embed(fit, [0] + selected, data.p + 1)
 
 
-def fit_br_refit(
-    data: Dataset,
-    selected: Iterable[int],
-    lambda_ridge: float,
-    opts: Optional[SolverOptions] = None,
-) -> NuisanceFit:
+def fit_br_refit(data: Dataset, selected: Iterable[int], lambda_ridge: float) -> NuisanceFit:
     """Solve the unpenalized bias-reduced system on the selected covariates,
     with a ridge term stabilising the propensity equation.
 
@@ -794,16 +754,12 @@ def fit_br_refit(
     inverse-odds-weighted normal equations exactly (no penalty) on the same
     restricted design.
     """
-    opts = opts or DEFAULT_OPTIONS
     if lambda_ridge <= 0:
         raise ValueError("lambda_ridge must be positive")
-    selected = sorted(set(int(j) for j in selected))
-    if any(j < 1 or j > data.p for j in selected):
-        raise ValueError(f"selected entries must lie in 1..{data.p}")
+    selected, sub = _restrict(data, selected, "selected")
     _require_both_arms(data)
-    sub = Dataset(data.y, data.a, data.x[:, [j - 1 for j in selected]])
 
-    z, scales = _standardized_design(sub, opts)
+    z, scales = _standardized_design(sub)
     ridge = np.zeros(sub.p + 1)
     ridge[1:] = 2.0 * lambda_ridge
     loss = _calibration_value_grad(z, sub.a)
@@ -821,12 +777,12 @@ def fit_br_refit(
         lambda coef: loss.hess(coef) + np.diag(ridge),
         x0,
         DEFAULT_TOL,
-        opts.max_iter or DEFAULT_NEWTON_ITER,
+        DEFAULT_NEWTON_ITER,
         UnboundedObjective("ridge-stabilised propensity solve diverged"),
     )
     gamma_sub = _back_transform(coef, scales)
     weights = _inverse_odds_weights(sub, gamma_sub)
-    beta_sub = _weighted_lasso(sub, weights, 0.0, opts)
+    beta_sub = _weighted_lasso(sub, weights, 0.0)
     index = [0] + selected
     return NuisanceFit(
         _embed(Coefficients(gamma_sub, lambda_ridge, res, n_iter), index, data.p + 1),

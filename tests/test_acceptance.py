@@ -20,7 +20,6 @@ from pbrdr import (
     Dataset,
     NuisanceFit,
     ScenarioSpec,
-    SolverOptions,
     SurfaceDgp,
     compute_metrics,
     dr_estimate,
@@ -40,7 +39,6 @@ from pbrdr.solvers import (
 ACCEPT_SEED = 20260808
 REPS = 500
 JOBS = 2
-RAW = SolverOptions(standardize=False)
 
 
 def report(criterion, passed, detail):
@@ -204,6 +202,12 @@ def test_criterion_5_surface_reference_biases():
 # ---------------------------------------------------------------------------
 
 
+def _unit_sd(data):
+    """Factors ``[1, s]``, ``s`` the covariates' sample SDs (ddof=1): the
+    fitters penalise ``coef * [1, s]``, the coefficients of ``design / [1, s]``."""
+    return np.concatenate([[1.0], np.std(data.x, axis=0, ddof=1)])
+
+
 def _stationarity_violation(grad, coef, lam):
     out = [abs(grad[0])]
     for j in range(1, coef.shape[0]):
@@ -224,15 +228,17 @@ def test_criterion_6_kkt_property_suite():
             rng.choice([0.02, 0.08, 0.15, 0.3])
         )
         data = random_dataset(1000 + k, n=n, p=p)
-        gamma = fit_calibration_lasso(data, lam, RAW)
-        z = data.design()
-        pi = expit(z @ gamma.coef)
+        gamma = fit_calibration_lasso(data, lam)
+        s = _unit_sd(data)
+        z, g = data.design() / s, gamma.coef * s
+        pi = expit(z @ g)
         score_g = z.T @ (1.0 - data.a / pi) / n
-        worst_f1 = max(worst_f1, _stationarity_violation(score_g, gamma.coef, lam))
-        beta = fit_weighted_outcome_lasso(data, gamma, lam, RAW)
-        w = np.where(data.a == 1.0, np.exp(-(z @ gamma.coef)), 0.0)
-        grad_b = -z.T @ (w * (data.y - z @ beta.coef)) / n
-        worst_f2 = max(worst_f2, _stationarity_violation(grad_b, beta.coef, lam))
+        worst_f1 = max(worst_f1, _stationarity_violation(score_g, g, lam))
+        beta = fit_weighted_outcome_lasso(data, gamma, lam)
+        b = beta.coef * s
+        w = np.where(data.a == 1.0, np.exp(-(z @ g)), 0.0)
+        grad_b = -z.T @ (w * (data.y - z @ b)) / n
+        worst_f2 = max(worst_f2, _stationarity_violation(grad_b, b, lam))
         if lam == 0.0:
             worst_exact = max(
                 worst_exact, float(np.max(np.abs(score_g))), float(np.max(np.abs(grad_b)))
@@ -254,8 +260,9 @@ def test_criterion_6_kkt_property_suite():
 
 def test_criterion_7_oracle_equivalences():
     # (a) stage-2 solver vs the closed-form soft threshold on orthonormal
-    # designs; a zero propensity vector gives pi = 1/2 and unit inverse-odds
-    # weights exactly, so every coordinate separates
+    # designs, on the unit-SD scale it penalises (the columns stay
+    # orthogonal); a zero propensity vector gives pi = 1/2 and unit
+    # inverse-odds weights exactly, so every coordinate separates
     rng = np.random.default_rng(707)
     n, p = 120, 5
     gamma = Coefficients(np.zeros(p + 1), 0.0, 0.0)
@@ -266,15 +273,16 @@ def test_criterion_7_oracle_equivalences():
         y = rng.standard_normal(n)
         data = Dataset(y, np.ones(n), x)
         lam = 0.0005
-        fit = fit_weighted_outcome_lasso(data, gamma, lam, RAW)
-        z = data.design()
+        fit = fit_weighted_outcome_lasso(data, gamma, lam)
+        s = _unit_sd(data)
+        z = data.design() / s
         gram_diag = np.sum(z**2, axis=0) / n
         lin = z.T @ y / n
         expected = np.empty(p + 1)
         expected[0] = lin[0] / gram_diag[0]
         for j in range(1, p + 1):
             expected[j] = math.copysign(max(abs(lin[j]) - lam, 0.0), lin[j]) / gram_diag[j]
-        worst_soft = max(worst_soft, float(np.max(np.abs(fit.coef - expected))))
+        worst_soft = max(worst_soft, float(np.max(np.abs(fit.coef * s - expected))))
 
     # (b) metric computation vs a naive two-pass reference
     est = list(rng.normal(3.0, 1.5, size=51))

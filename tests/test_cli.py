@@ -143,6 +143,21 @@ def test_csv_errors_reported_in_file_order(tmp_path, capsys, covariates, bad_tre
     assert ("must be 0 or 1" if bad_treatment else "expected 4 fields, got 3") in err
 
 
+@pytest.mark.parametrize("covariates", [None, "x1"], ids=["auto", "explicit"])
+def test_csv_repeated_header_name(tmp_path, capsys, covariates):
+    # with distinct data in the two x1 columns, reading the first one twice
+    # made OR-OLS fail with RankDeficient (exit 3)
+    rows = ["y,a,x1,x1,label"] + [
+        f"{i * 0.1},{i % 2},{i * 0.3},{(i * 7) % 5},name{i}" for i in range(14)
+    ]
+    path = tmp_path / "dup.csv"
+    path.write_text("\n".join(rows) + "\n")
+    argv = ["estimate", "--csv", str(path), "--outcome", "y", "--treatment", "a",
+            "--estimator", "OR-OLS", "--report", str(tmp_path / "rep.json")]
+    assert main(argv + (["--covariates", covariates] if covariates else [])) == 2
+    assert "column name 'x1' repeats" in capsys.readouterr().err
+
+
 def test_autodetected_missing_tokens_drop_rows(tmp_path, capsys):
     rows = ["y,a,x1"] + [f"{i * 0.1},{i % 2},{i * 0.3}" for i in range(14)]
     rows[2], rows[3], rows[4] = "0.1,1,nan", "0.2,0,NA", "0.3,1,"

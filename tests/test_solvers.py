@@ -18,7 +18,6 @@ from pbrdr import (
     NuisanceFit,
     RankDeficient,
     Separation,
-    SolverOptions,
     UnboundedObjective,
     default_penalties,
     fit_br_refit,
@@ -31,9 +30,8 @@ from pbrdr import (
     normal_quantile,
     post_lasso_refit,
 )
+from pbrdr import solvers
 from pbrdr.simulation import ScenarioSpec, build_model, draw_dataset
-
-RAW = SolverOptions(standardize=False)
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +70,15 @@ def weighted_outcome_score(data: Dataset, gamma: np.ndarray, beta: np.ndarray) -
     w = np.where(data.a == 1.0, np.exp(-u), 0.0)
     resid = data.y - z @ beta
     return z.T @ (w * resid) / data.n
+
+
+def unit_sd(data: Dataset) -> np.ndarray:
+    """Factors ``[1, s]`` with ``s`` the covariates' sample SDs (ddof=1).
+
+    The fitters penalise coefficients on the unit-SD scale: there the
+    coefficients are ``coef * unit_sd`` and a score is ``score / unit_sd``.
+    """
+    return np.concatenate([[1.0], np.std(data.x, axis=0, ddof=1)])
 
 
 def l1_violation(score: np.ndarray, coef: np.ndarray, lam: float) -> float:
@@ -163,9 +170,10 @@ def test_calibration_intercept_only():
 @pytest.mark.parametrize("lam", [0.05, 0.2])
 def test_calibration_kkt(seed, lam):
     data = random_dataset(seed, n=150, p=6)
-    fit = fit_calibration_lasso(data, lam, RAW)
-    score = calibration_score(data, fit.coef)
-    assert l1_violation(score, fit.coef, lam) <= lam * 1e-4 + 1e-8
+    fit = fit_calibration_lasso(data, lam)
+    s = unit_sd(data)
+    score = calibration_score(data, fit.coef) / s
+    assert l1_violation(score, fit.coef * s, lam) <= lam * 1e-4 + 1e-8
     assert fit.active_set == tuple(j for j in range(1, 7) if fit.coef[j] != 0.0)
 
 
@@ -252,33 +260,36 @@ def test_weighted_lasso_soft_threshold_oracle():
     y = 0.8 * x + rng.standard_normal(n)
     data = Dataset(y, np.ones(n), x.reshape(-1, 1))
     lam = 0.15
-    fit = fit_linear_lasso(data, lam, opts=RAW)
-    # closed form: soft threshold of the OLS slope
+    fit = fit_linear_lasso(data, lam)
+    # closed form on the unit-SD covariate: soft threshold of the OLS slope
+    s = unit_sd(data)[1]
+    x, slope = x / s, fit.coef[1] * s
     b_ols = float(x @ (y - y.mean())) / float(x @ x)
     expected = math.copysign(max(abs(b_ols) - n * lam / float(x @ x), 0.0), b_ols)
-    assert fit.coef[1] == pytest.approx(expected, abs=1e-8)
+    assert slope == pytest.approx(expected, abs=1e-8)
     # brute-force 1-D grid minimizer of the objective around the solution
-    grid = np.linspace(fit.coef[1] - 0.05, fit.coef[1] + 0.05, 2001)
+    grid = np.linspace(slope - 0.05, slope + 0.05, 2001)
     b0 = fit.coef[0]
     objs = [np.mean((y - b0 - b * x) ** 2) / 2 + lam * abs(b) for b in grid]
-    assert abs(grid[int(np.argmin(objs))] - fit.coef[1]) <= 5e-5
+    assert abs(grid[int(np.argmin(objs))] - slope) <= 5e-5
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_weighted_lasso_kkt(seed):
     data = random_dataset(seed, n=160, p=5)
-    gamma = fit_calibration_lasso(data, 0.08, RAW)
+    gamma = fit_calibration_lasso(data, 0.08)
     lam = 0.12
-    beta = fit_weighted_outcome_lasso(data, gamma, lam, RAW)
+    beta = fit_weighted_outcome_lasso(data, gamma, lam)
     # the objective gradient is the negative of the weighted score
-    grad = -weighted_outcome_score(data, gamma.coef, beta.coef)
-    assert l1_violation(grad, beta.coef, lam) <= lam * 1e-4 + 1e-8
+    s = unit_sd(data)
+    grad = -weighted_outcome_score(data, gamma.coef, beta.coef) / s
+    assert l1_violation(grad, beta.coef * s, lam) <= lam * 1e-4 + 1e-8
 
 
 def test_weighted_lasso_zero_lambda_normal_equations(dataset):
-    gamma = fit_calibration_lasso(dataset, 0.05, RAW)
-    beta = fit_weighted_outcome_lasso(dataset, gamma, 0.0, RAW)
-    score = weighted_outcome_score(dataset, gamma.coef, beta.coef)
+    gamma = fit_calibration_lasso(dataset, 0.05)
+    beta = fit_weighted_outcome_lasso(dataset, gamma, 0.0)
+    score = weighted_outcome_score(dataset, gamma.coef, beta.coef) / unit_sd(dataset)
     assert np.max(np.abs(score)) <= 1e-8
 
 
@@ -308,18 +319,18 @@ def test_weighted_lasso_degenerate_weights():
         fit_weighted_outcome_lasso(data, gamma, 0.1)
 
 
-def _outcome_lasso_case(p, weighted, opts=None):
+def _outcome_lasso_case(p, weighted):
     """(data, weights, lam, fit) of an outcome lasso at the suite's penalty level;
     the weighted fit takes a logistic-lasso propensity, which cannot diverge."""
     data = random_dataset(30 + p, n=100, p=p)
     lam_gamma, lam_beta = default_penalties(data.n, data.p)
     if not weighted:
         lam = lam_beta * data.n_treated / data.n
-        return data, data.a, lam, fit_linear_lasso(data, lam, opts=opts)
+        return data, data.a, lam, fit_linear_lasso(data, lam)
     gamma = fit_logistic_lasso(data, lam_gamma)
     weights = np.where(data.a == 1.0, np.exp(-(data.design() @ gamma.coef)), 0.0)
     lam = lam_beta * float(weights.sum()) / data.n
-    return data, weights, lam, fit_weighted_outcome_lasso(data, gamma, lam, opts)
+    return data, weights, lam, fit_weighted_outcome_lasso(data, gamma, lam)
 
 
 @pytest.mark.parametrize("weighted", [True, False], ids=["weighted", "linear"])
@@ -351,10 +362,11 @@ def test_working_set_lasso_matches_dense_coordinate_descent(p, weighted):
 
 
 @pytest.mark.parametrize("weighted", [True, False], ids=["weighted", "linear"])
-def test_working_set_lasso_budget_exhaustion(weighted):
+def test_working_set_lasso_budget_exhaustion(weighted, monkeypatch):
     assert _outcome_lasso_case(400, weighted)[3].n_iter > 1
+    monkeypatch.setattr(solvers, "DEFAULT_CD_SWEEPS", 1)
     with pytest.raises(NonConvergence):
-        _outcome_lasso_case(400, weighted, SolverOptions(max_iter=1))
+        _outcome_lasso_case(400, weighted)
 
 
 def test_dataset_is_read_only_and_builds_its_design_once():
@@ -449,10 +461,11 @@ def test_logistic_lasso_zero_lambda_equals_mle(dataset):
 def test_logistic_lasso_kkt(seed):
     data = random_dataset(seed, n=140, p=6)
     lam = 0.07
-    fit = fit_logistic_lasso(data, lam, RAW)
+    fit = fit_logistic_lasso(data, lam)
     z = data.design()
-    score = z.T @ (expit(z @ fit.coef) - data.a) / data.n
-    assert l1_violation(score, fit.coef, lam) <= lam * 1e-4 + 1e-8
+    s = unit_sd(data)
+    score = z.T @ (expit(z @ fit.coef) - data.a) / data.n / s
+    assert l1_violation(score, fit.coef * s, lam) <= lam * 1e-4 + 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -514,10 +527,17 @@ def test_linear_lasso_zero_equals_ols(dataset):
 
 
 def test_linear_lasso_options_are_keyword_only(dataset):
-    # a third positional argument must not bind to ``opts``: ``False or
-    # DEFAULT_OPTIONS`` would silently run the default fit
+    # the old ``treated_only`` flag, passed third, must not be silently ignored
     with pytest.raises(TypeError):
         fit_linear_lasso(dataset, 0.1, False)
+
+
+def test_solver_options_are_removed(dataset):
+    # fitters take data and lambda only; an old options call fails loudly
+    with pytest.raises(ImportError):
+        from pbrdr import SolverOptions  # noqa: F401
+    with pytest.raises(TypeError):
+        fit_linear_lasso(dataset, 0.1, opts=None)
 
 
 def test_linear_lasso_orthonormal_soft_threshold():
@@ -531,12 +551,15 @@ def test_linear_lasso_orthonormal_soft_threshold():
     y = x @ beta_true + 0.1 * rng.standard_normal(n)
     data = Dataset(y, np.ones(n), x)
     lam = 0.002
-    fit = fit_linear_lasso(data, lam, opts=RAW)
+    fit = fit_linear_lasso(data, lam)
+    # the slopes separate on the unit-SD columns too, which stay orthogonal
+    s = unit_sd(data)
+    x, slopes = x / s[1:], fit.coef[1:] * s[1:]
     for j in range(p):
         col = x[:, j]
         b_ols = float(col @ y) / float(col @ col)
         expected = math.copysign(max(abs(b_ols) - n * lam / float(col @ col), 0.0), b_ols)
-        assert fit.coef[1 + j] == pytest.approx(expected, abs=1e-8)
+        assert slopes[j] == pytest.approx(expected, abs=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -616,10 +639,12 @@ def test_br_refit_ridge_to_zero_limit(dataset):
 
 def test_br_refit_residual_at_solution(dataset):
     lam_ridge = 0.1
-    fit = fit_br_refit(dataset, [1, 3], lam_ridge, SolverOptions(standardize=False))
+    fit = fit_br_refit(dataset, [1, 3], lam_ridge)
     idx = [0, 1, 3]
     score = calibration_score(dataset, fit.gamma.coef)[idx]
-    ridge_term = 2.0 * lam_ridge * fit.gamma.coef[idx]
+    # the ridge acts on the unit-SD scale: on the raw scale its gradient is
+    # 2 lam s_j^2 g_j
+    ridge_term = 2.0 * lam_ridge * unit_sd(dataset)[idx] ** 2 * fit.gamma.coef[idx]
     ridge_term[0] = 0.0  # intercept exempt
     assert np.max(np.abs(score + ridge_term)) <= 1e-7
     out_score = weighted_outcome_score(dataset, fit.gamma.coef, fit.beta.coef)[idx]
@@ -728,11 +753,6 @@ def test_zero_lambda_low_dimensional_reduction():
     beta = fit_weighted_outcome_lasso(data, gamma, 0.0)
     assert np.max(np.abs(calibration_score(data, gamma.coef))) <= 1e-7
     assert np.max(np.abs(weighted_outcome_score(data, gamma.coef, beta.coef))) <= 1e-7
-
-
-def test_solver_options_validation():
-    with pytest.raises(ValueError):
-        SolverOptions(max_iter=0)
 
 
 def test_nuisance_fit_dimension_check():
