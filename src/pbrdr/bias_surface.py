@@ -45,13 +45,7 @@ from .dataset import Dataset
 from .errors import ConfigError, UnboundedObjective
 from .estimators import POSITIVITY_THRESHOLD
 from .simulation import _oracle_mean
-from .solvers import (
-    DEFAULT_NEWTON_ITER,
-    DEFAULT_TOL,
-    _calibration_value_grad,
-    _logistic_value_grad,
-    _newton,
-)
+from .solvers import _calibration_value_grad, _logistic_value_grad, _newton
 
 REFERENCE_TAGS = ("BR", "MLE-DR", "IPW", "IMP")
 
@@ -73,6 +67,8 @@ class SurfaceDgp:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.n_large < 2:
             raise ConfigError("n_large must be at least 2")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed}")
 
 
 @dataclass
@@ -138,9 +134,7 @@ def _reference_slope(loss, x: np.ndarray, a: np.ndarray) -> float:
     intercept-free one-column design ``x[:, None]``."""
     value_grad = loss(x[:, None], a)
     diverged = UnboundedObjective("reference slope fit diverged")
-    slope, _, _ = _newton(
-        value_grad, value_grad.hess, np.zeros(1), DEFAULT_TOL, DEFAULT_NEWTON_ITER, diverged
-    )
+    slope, _, _ = _newton(value_grad, value_grad.hess, np.zeros(1), diverged)
     return float(slope[0])
 
 

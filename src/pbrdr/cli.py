@@ -40,8 +40,8 @@ class CsvSchema:
     """Column mapping for :func:`load_csv_dataset`.
 
     ``covariate_cols`` of ``None`` selects every remaining numeric column in
-    header order. ``na_policy`` is ``drop_rows`` (default, rows with missing
-    values are removed) or ``error``.
+    header order; a list names each column once. ``na_policy`` is
+    ``drop_rows`` (default, rows with missing values are removed) or ``error``.
     """
 
     outcome_col: str
@@ -54,6 +54,9 @@ class CsvSchema:
             raise ConfigError("outcome and treatment columns must be distinct")
         if self.na_policy not in ("drop_rows", "error"):
             raise ConfigError("na_policy must be 'drop_rows' or 'error'")
+        repeated = [c for c, k in Counter(self.covariate_cols or ()).items() if k > 1]
+        if repeated:
+            raise ConfigError(f"covariate column {repeated[0]!r} repeats in {self.covariate_cols}")
 
 
 @dataclass
@@ -363,9 +366,9 @@ def _parse_range(text: str, name: str) -> np.ndarray:
 def cmd_bias_surface(args) -> int:
     gamma_grid = _parse_range(args.gamma_range, "--gamma-range")
     beta_grid = _parse_range(args.beta_range, "--beta-range")
+    dgp = SurfaceDgp(args.variant, args.n_large, args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    dgp = SurfaceDgp(args.variant, args.n_large, args.seed)
     manifest = RunManifest(
         command="bias-surface",
         argv=sys.argv[1:],

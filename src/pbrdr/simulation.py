@@ -68,6 +68,8 @@ class ScenarioSpec:
             raise ConfigError("reps must be at least 1")
         if self.n < 2:
             raise ConfigError("n must be at least 2")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed}")
 
     def cell_name(self) -> str:
         return (
@@ -409,7 +411,7 @@ def parse_config_text(text: str) -> List[Tuple[ScenarioSpec, Tuple[str, ...]]]:
     Keys: scenario, n, p, correlated, or_correct, ps_correct, reps, seed,
     estimators. The first six accept comma-separated lists and expand to the
     cross product of cells; reps and seed are single values; estimators is a
-    comma-separated tag list defaulting to the full roster.
+    comma-separated list of at least one tag, defaulting to the full roster.
     """
     values: Dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -431,6 +433,8 @@ def parse_config_text(text: str) -> List[Tuple[ScenarioSpec, Tuple[str, ...]]]:
         raise ConfigError(f"missing required config key(s): {', '.join(missing)}")
 
     requested = [t.strip() for t in values.get("estimators", "").split(",") if t.strip()]
+    if "estimators" in values and not requested:
+        raise ConfigError("empty value for key 'estimators'")
     tags = _resolve_tags(requested if "estimators" in values else None)
 
     reps = _parse_int(values["reps"], "reps")

@@ -20,22 +20,25 @@ Three engines solve them: accelerated proximal gradient for the penalised
 propensity losses, damped Newton for the smooth unpenalized ones, and, for
 the penalised squared losses, working-set coordinate descent, which forms
 the Gram matrix of the working set only and screens the other coordinates
-with the full design's gradient. The unpenalized squared losses (OLS, the
-post-selection outcome refits and the bias-reduced outcome equations) share
-one weighted least-squares solve, :func:`_least_squares`.
+with the full design's gradient. Each engine returns ``(x, kkt,
+iterations)``. The unpenalized squared losses (OLS, the post-selection
+outcome refits and the bias-reduced outcome equations) share one weighted
+least-squares solve, :func:`_least_squares`.
 
 Conventions shared by every fitter:
 
-* designs carry a leading intercept column; the intercept is never penalized;
+* designs carry a leading intercept column; coordinate 0, the intercept, is
+  the only unpenalized coordinate of every penalised engine;
 * the standardized design is built once per :class:`Dataset` and cached on it;
 * covariates are always rescaled to unit sample standard deviation before
   fitting, as in glmnet, and coefficients mapped back afterwards, so the
   ``lam * ||.||_1`` penalties (and the ridge term of :func:`fit_br_refit`)
   apply to coefficients on the unit-SD scale; reported KKT residuals live on
   that scale, which is the scale of the problem actually solved;
-* iteration budgets are the module constants ``DEFAULT_PROX_ITER``,
-  ``DEFAULT_CD_SWEEPS`` and ``DEFAULT_NEWTON_ITER``, read at call time; a
-  spent budget raises :class:`NonConvergence`, never a partial result;
+* the engines read the tolerance ``DEFAULT_TOL`` and the iteration budgets
+  ``DEFAULT_PROX_ITER``, ``DEFAULT_CD_SWEEPS`` and ``DEFAULT_NEWTON_ITER``
+  themselves, at call time; a spent budget raises :class:`NonConvergence`,
+  never a partial result;
 * all score/KKT residuals are on the mean scale, i.e. ``(1/n) sum_i ...``;
 * solvers are pure functions of their inputs: no internal randomness.
 """
@@ -43,8 +46,8 @@ Conventions shared by every fitter:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Optional
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable
 
 import numpy as np
 from scipy.special import expit, ndtri
@@ -87,7 +90,6 @@ class Coefficients:
     lam: float
     kkt_residual: float
     n_iter: int = 0
-    objective_trace: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def active_set(self) -> tuple[int, ...]:
@@ -173,12 +175,6 @@ def _back_transform(coef: np.ndarray, scales: np.ndarray) -> np.ndarray:
     return out
 
 
-def _penalized_mask(dim: int) -> np.ndarray:
-    mask = np.ones(dim, dtype=bool)
-    mask[0] = False
-    return mask
-
-
 def _embed(fit: Coefficients, index: list[int], dim: int) -> Coefficients:
     """A fit on the design columns ``index`` as a zero-padded length-``dim`` fit."""
     coef = np.zeros(dim)
@@ -186,21 +182,17 @@ def _embed(fit: Coefficients, index: list[int], dim: int) -> Coefficients:
     return replace(fit, coef=coef)
 
 
-def _kkt_sup_norm(grad: np.ndarray, coef: np.ndarray, lam: float, penalized: np.ndarray) -> float:
+def _kkt_sup_norm(grad: np.ndarray, coef: np.ndarray, lam: float) -> float:
     """Sup-norm violation of the l1 subgradient stationarity conditions.
 
-    Unpenalized coordinates must have a vanishing score; penalized nonzero
-    coordinates must have score equal to ``-lam * sign``; penalized zero
-    coordinates must have ``|score| <= lam``.
+    The intercept (coordinate 0) must have a vanishing score; penalized
+    nonzero coordinates must have score equal to ``-lam * sign``; penalized
+    zero coordinates must have ``|score| <= lam``.
     """
-    viol = np.abs(grad).astype(float)
-    if lam > 0.0 and penalized.any():
-        nz = penalized & (coef != 0.0)
-        z = penalized & (coef == 0.0)
-        viol = viol.copy()
-        viol[nz] = np.abs(grad[nz] + lam * np.sign(coef[nz]))
-        viol[z] = np.maximum(np.abs(grad[z]) - lam, 0.0)
-    return float(viol.max()) if viol.size else 0.0
+    g, c = grad[1:], coef[1:]
+    viol = np.abs(grad)
+    viol[1:] = np.where(c != 0.0, np.abs(g + lam * np.sign(c)), np.maximum(np.abs(g) - lam, 0.0))
+    return float(viol.max())
 
 
 def _soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
@@ -228,7 +220,7 @@ def _least_squares(z: np.ndarray, w: np.ndarray, y: np.ndarray) -> tuple[np.ndar
 # ---------------------------------------------------------------------------
 
 
-def _backtrack(value_grad, y, fy, gy, step, lam, penalized):
+def _backtrack(value_grad, y, fy, gy, step, lam):
     """One backtracking proximal step from ``y``; returns (z, fz, gz, step).
 
     The sufficient-decrease test carries a float-resolution slack so that
@@ -237,8 +229,7 @@ def _backtrack(value_grad, y, fy, gy, step, lam, penalized):
     slack = 16.0 * np.finfo(float).eps * (1.0 + abs(fy))
     while True:
         z = y - step * gy
-        if lam > 0.0:
-            z[penalized] = _soft_threshold(z[penalized], step * lam)
+        z[1:] = _soft_threshold(z[1:], step * lam)
         z[np.abs(z) < ZERO_SNAP] = 0.0
         fz, gz = value_grad(z)
         d = z - y
@@ -249,28 +240,28 @@ def _backtrack(value_grad, y, fy, gy, step, lam, penalized):
             raise NonConvergence("proximal line search stalled; no further progress possible")
 
 
-def _prox_gradient(value_grad, x0, lam, penalized, tol, max_iter):
-    """Monotone accelerated proximal gradient with backtracking line search.
+def _prox_gradient(value_grad, x0, lam):
+    """Monotone accelerated proximal gradient with backtracking line search
+    for the smooth part plus ``lam * ||x[1:]||_1``.
 
     ``value_grad(x)`` returns ``(value, gradient)`` of the smooth part on the
     mean scale (gradient may be None when the value is not finite). Momentum
-    steps are accepted only when they do not increase the composite objective,
-    so the recorded objective trace is nonincreasing. Stops when the KKT
-    sup-norm residual falls to ``tol``.
+    steps are accepted only when they do not increase the composite objective.
+    Stops when the KKT sup-norm residual falls to ``DEFAULT_TOL``.
     """
+    tol, max_iter = DEFAULT_TOL, DEFAULT_PROX_ITER
     x = np.array(x0, dtype=float)
     fx, gx = value_grad(x)
     if not np.isfinite(fx):
         raise ValueError("objective is not finite at the starting point")
 
     def pen(v: np.ndarray) -> float:
-        return lam * float(np.abs(v[penalized]).sum()) if lam > 0.0 else 0.0
+        return lam * float(np.abs(v[1:]).sum())
 
     big_f = fx + pen(x)
-    trace = [big_f]
-    kkt = _kkt_sup_norm(gx, x, lam, penalized)
+    kkt = _kkt_sup_norm(gx, x, lam)
     if kkt <= tol:
-        return x, kkt, 0, np.asarray(trace)
+        return x, kkt, 0
 
     x_prev = x
     t_mom = 1.0
@@ -285,7 +276,7 @@ def _prox_gradient(value_grad, x0, lam, penalized, tol, max_iter):
             fy, gy = value_grad(y)
             if not np.isfinite(fy):
                 y, fy, gy = x, fx, gx
-        z, fz, gz, step = _backtrack(value_grad, y, fy, gy, step, lam, penalized)
+        z, fz, gz, step = _backtrack(value_grad, y, fy, gy, step, lam)
         big_fz = fz + pen(z)
         if big_fz <= big_f:
             x_prev, x, fx, gx, big_f = x, z, fz, gz, big_fz
@@ -294,21 +285,20 @@ def _prox_gradient(value_grad, x0, lam, penalized, tol, max_iter):
             # Momentum overshot: take a plain proximal step from x instead and
             # restart the momentum. The line-search certificate guarantees
             # descent mathematically, but near the optimum the improvement can
-            # fall below float resolution of the objective, so the recorded
-            # value is the running minimum.
-            z, fz, gz, step = _backtrack(value_grad, x, fx, gx, step, lam, penalized)
+            # fall below float resolution of the objective, so the value kept
+            # for the acceptance test is the running minimum.
+            z, fz, gz, step = _backtrack(value_grad, x, fx, gx, step, lam)
             big_fz = min(fz + pen(z), big_f)
             x_prev, x, fx, gx, big_f = x, z, fz, gz, big_fz
             t_mom = 1.0
-        trace.append(big_f)
         if float(np.linalg.norm(x)) > NORM_GUARD:
             raise UnboundedObjective(
                 "iterate norm exceeded the divergence guard; the objective has no minimum "
                 "(e.g. separable treatment with lambda = 0)"
             )
-        kkt = _kkt_sup_norm(gx, x, lam, penalized)
+        kkt = _kkt_sup_norm(gx, x, lam)
         if kkt <= tol:
-            return x, kkt, it, np.asarray(trace)
+            return x, kkt, it
     raise NonConvergence(
         f"proximal gradient hit max_iter={max_iter} with kkt residual {kkt:.3e} > tol {tol:.1e}"
     )
@@ -319,37 +309,29 @@ def _prox_gradient(value_grad, x0, lam, penalized, tol, max_iter):
 # ---------------------------------------------------------------------------
 
 
-def _cd_quadratic(gram, lin, lam, penalized, x0, tol, max_sweeps):
+def _cd_quadratic(gram, lin, lam, x0, max_sweeps):
     """Cyclic coordinate descent with exact updates for
-    ``0.5 x'Gx - c'x + lam * ||x[penalized]||_1``.
+    ``0.5 x'Gx - c'x + lam * ||x[1:]||_1``.
 
     ``gram``/``lin`` are on the mean scale, so the stationarity system is the
-    mean-scale estimating equation. Returns (x, kkt, sweeps, objective_trace).
-    The stopping residual is floored at 64 ulps of ``max|lin|``: below that
-    it is float noise in the units of y.
+    mean-scale estimating equation. Returns (x, kkt, sweeps). The stopping
+    residual is ``DEFAULT_TOL`` floored at 64 ulps of ``max|lin|``: below
+    that it is float noise in the units of y.
     """
-    tol = max(tol, 64.0 * np.finfo(float).eps * float(np.max(np.abs(lin))))
+    tol = max(DEFAULT_TOL, 64.0 * np.finfo(float).eps * float(np.max(np.abs(lin))))
     x = np.array(x0, dtype=float)
     dim = x.shape[0]
     diag = np.diag(gram).copy()
     u = gram @ x
-
-    def objective() -> float:
-        val = 0.5 * float(x @ u) - float(lin @ x)
-        if lam > 0.0:
-            val += lam * float(np.abs(x[penalized]).sum())
-        return val
-
-    trace = [objective()]
-    kkt = _kkt_sup_norm(u - lin, x, lam, penalized)
+    kkt = _kkt_sup_norm(u - lin, x, lam)
     if kkt <= tol:
-        return x, kkt, 0, np.asarray(trace)
+        return x, kkt, 0
     for sweep in range(1, max_sweeps + 1):
         for j in range(dim):
             if diag[j] <= 0.0:
                 continue
             rho = lin[j] - u[j] + diag[j] * x[j]
-            if penalized[j] and lam > 0.0:
+            if j:
                 new = math.copysign(max(abs(rho) - lam, 0.0), rho) / diag[j]
             else:
                 new = rho / diag[j]
@@ -360,50 +342,47 @@ def _cd_quadratic(gram, lin, lam, penalized, x0, tol, max_sweeps):
                 u += gram[:, j] * delta
                 x[j] = new
         u = gram @ x  # refresh to cancel incremental drift
-        trace.append(objective())
-        kkt = _kkt_sup_norm(u - lin, x, lam, penalized)
+        kkt = _kkt_sup_norm(u - lin, x, lam)
         if kkt <= tol:
-            return x, kkt, sweep, np.asarray(trace)
+            return x, kkt, sweep
     raise NonConvergence(
         f"coordinate descent hit max sweeps={max_sweeps} with kkt residual {kkt:.3e} > tol {tol:.1e}"
     )
 
 
-def _working_set_cd(z, weights, lin, lam, penalized, x0, tol, max_sweeps):
-    """Working-set coordinate descent for ``0.5 x'Gx - c'x + lam * ||x[penalized]||_1``
+def _working_set_cd(z, weights, lin, lam, x0):
+    """Working-set coordinate descent for ``0.5 x'Gx - c'x + lam * ||x[1:]||_1``
     with ``G = z' diag(weights) z / n``, never forming ``G`` in full.
 
     Each pass runs :func:`_cd_quadratic` on the working set's small Gram
-    matrix, warm-started, on one shared ``max_sweeps`` budget; the set starts
-    with the unpenalized and nonzero coordinates. The zero coordinates outside
-    it are then checked against the full gradient: the KKT residual is the
-    larger of the restricted solve's and their excess of ``|grad_j|`` over
-    ``lam``. Above the floored tolerance of :func:`_cd_quadratic`, every
-    coordinate with an excess joins, so each further pass has a larger set.
-    Returns (x, kkt, sweeps, objective_trace) as :func:`_cd_quadratic` does;
-    the trace joins the restricted traces, dropping each later one's start.
+    matrix, warm-started, on one shared ``DEFAULT_CD_SWEEPS`` budget; the set
+    starts with the intercept and the nonzero coordinates, and the intercept
+    stays its first coordinate. The zero coordinates outside it are then
+    checked against the full gradient: the KKT residual is the larger of the
+    restricted solve's and their excess of ``|grad_j|`` over ``lam``. Above
+    the floored tolerance of :func:`_cd_quadratic`, every coordinate with an
+    excess joins, so each further pass has a larger set. Returns (x, kkt,
+    sweeps) as :func:`_cd_quadratic` does.
     """
     n = z.shape[0]
-    floor = max(tol, 64.0 * np.finfo(float).eps * float(np.max(np.abs(lin))))
+    max_sweeps = DEFAULT_CD_SWEEPS
+    floor = max(DEFAULT_TOL, 64.0 * np.finfo(float).eps * float(np.max(np.abs(lin))))
     x = np.array(x0, dtype=float)
-    working = ~penalized | (x != 0.0)
+    working = x != 0.0
+    working[0] = True
     sweeps = 0
-    traces = []
     while True:
         idx = np.flatnonzero(working)
         zw = z[:, idx]
         gram = (zw * weights[:, None]).T @ zw / n
         try:
-            x[idx], kkt, done, trace = _cd_quadratic(
-                gram, lin[idx], lam, penalized[idx], x[idx], tol, max_sweeps - sweeps
-            )
+            x[idx], kkt, done = _cd_quadratic(gram, lin[idx], lam, x[idx], max_sweeps - sweeps)
         except NonConvergence:
             raise NonConvergence(
                 f"coordinate descent hit max sweeps={max_sweeps} on a working set of "
                 f"{idx.size} of {x.size} coordinates"
             ) from None
         sweeps += done
-        traces.append(trace[1:] if traces else trace)
         grad = z.T @ (weights * (zw @ x[idx])) / n - lin
         # Working-set coordinates keep the restricted solve's residual: at
         # large outcome scales the rounding of the two products with ``z``
@@ -411,7 +390,7 @@ def _working_set_cd(z, weights, lin, lam, penalized, x0, tol, max_sweeps):
         excess = np.where(working, 0.0, np.abs(grad) - lam)
         kkt = max(kkt, float(excess.max()))
         if kkt <= floor:
-            return x, kkt, sweeps, np.concatenate(traces)
+            return x, kkt, sweeps
         working |= excess > 0.0
 
 
@@ -420,11 +399,12 @@ def _working_set_cd(z, weights, lin, lam, penalized, x0, tol, max_sweeps):
 # ---------------------------------------------------------------------------
 
 
-def _newton(value_grad, hess, x0, tol, max_iter, divergence_error: Exception, norm_guard: float = NORM_GUARD):
+def _newton(value_grad, hess, x0, divergence_error: Exception, norm_guard: float = NORM_GUARD):
     """Damped Newton with backtracking; ``value_grad`` as for the proximal engine,
     ``hess`` evaluated at accepted iterates only. Stops when the gradient's
-    sup-norm reaches ``tol``; an iterate norm above ``norm_guard`` raises
-    ``divergence_error``."""
+    sup-norm reaches ``DEFAULT_TOL``; an iterate norm above ``norm_guard``
+    raises ``divergence_error``. Returns (x, residual, iterations)."""
+    tol, max_iter = DEFAULT_TOL, DEFAULT_NEWTON_ITER
     x = np.array(x0, dtype=float)
     f, g = value_grad(x)
     if not np.isfinite(f):
@@ -531,15 +511,12 @@ def _fit_propensity_lasso(loss: Callable, data: Dataset, lam: float) -> Coeffici
         raise DegenerateData("need at least two observations")
     _require_both_arms(data)
     z, scales = _standardized_design(data)
-    mask = _penalized_mask(data.p + 1)
     x0 = np.zeros(data.p + 1)
     abar = data.a.mean()
     x0[0] = math.log(abar / (1.0 - abar))
-    coef, kkt, n_iter, trace = _prox_gradient(
-        loss(z, data.a), x0, lam, mask, DEFAULT_TOL, DEFAULT_PROX_ITER
-    )
+    coef, kkt, n_iter = _prox_gradient(loss(z, data.a), x0, lam)
     gamma = _back_transform(coef, scales)
-    return Coefficients(gamma, lam, kkt, n_iter, trace)
+    return Coefficients(gamma, lam, kkt, n_iter)
 
 
 def fit_calibration_lasso(data: Dataset, lambda_gamma: float) -> Coefficients:
@@ -609,16 +586,13 @@ def _weighted_lasso(data: Dataset, weights: np.ndarray, lam: float) -> Coefficie
             )
         beta = _back_transform(coef, scales)
         return Coefficients(beta, 0.0, kkt, 1)
-    mask = _penalized_mask(data.p + 1)
     x0 = np.zeros(data.p + 1)
     weight_mean = float(weights.sum()) / n
     if weight_mean > 0.0:
         x0[0] = lin[0] / weight_mean
-    coef, kkt, sweeps, trace = _working_set_cd(
-        z, weights, lin, lam, mask, x0, DEFAULT_TOL, DEFAULT_CD_SWEEPS
-    )
+    coef, kkt, sweeps = _working_set_cd(z, weights, lin, lam, x0)
     beta = _back_transform(coef, scales)
-    return Coefficients(beta, lam, kkt, sweeps, trace)
+    return Coefficients(beta, lam, kkt, sweeps)
 
 
 def fit_weighted_outcome_lasso(
@@ -673,8 +647,6 @@ def fit_logistic_mle(data: Dataset) -> Coefficients:
             loss,
             loss.hess,
             np.zeros(data.p + 1),
-            DEFAULT_TOL,
-            DEFAULT_NEWTON_ITER,
             Separation("coefficient norm diverged; data appear perfectly separated"),
             norm_guard=100.0,
         )
@@ -776,8 +748,6 @@ def fit_br_refit(data: Dataset, selected: Iterable[int], lambda_ridge: float) ->
         value_grad,
         lambda coef: loss.hess(coef) + np.diag(ridge),
         x0,
-        DEFAULT_TOL,
-        DEFAULT_NEWTON_ITER,
         UnboundedObjective("ridge-stabilised propensity solve diverged"),
     )
     gamma_sub = _back_transform(coef, scales)

@@ -158,6 +158,23 @@ def test_csv_repeated_header_name(tmp_path, capsys, covariates):
     assert "column name 'x1' repeats" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "covariates, estimator", [("x1,x1", "OR-OLS"), ("x1,x2,x1", "P-BR")], ids=["twice", "apart"]
+)
+def test_covariates_repeating_a_name(tmp_path, capsys, covariates, estimator):
+    # the fit used to take the column twice: OR-OLS exited 3 with
+    # RankDeficient and P-BR exited 0 reporting covariates ["x1", "x2", "x1"]
+    rows = ["y,a,x1,x2"] + [f"{i * 0.1},{i % 2},{i * 0.3},{(i * 7) % 5}" for i in range(14)]
+    path = tmp_path / "cov.csv"
+    path.write_text("\n".join(rows) + "\n")
+    code = main(["estimate", "--csv", str(path), "--outcome", "y", "--treatment", "a",
+                 "--covariates", covariates, "--estimator", estimator,
+                 "--report", str(tmp_path / "rep.json")])
+    assert code == 2
+    assert "covariate column 'x1' repeats" in capsys.readouterr().err
+    assert not (tmp_path / "rep.json").exists()
+
+
 def test_autodetected_missing_tokens_drop_rows(tmp_path, capsys):
     rows = ["y,a,x1"] + [f"{i * 0.1},{i % 2},{i * 0.3}" for i in range(14)]
     rows[2], rows[3], rows[4] = "0.1,1,nan", "0.2,0,NA", "0.3,1,"
@@ -268,6 +285,14 @@ def test_bias_surface_zero_step(tmp_path):
                    "--beta-range", "0:1:0.5", "--out", str(tmp_path / "o"))
     assert proc.returncode == 2
     assert "step" in proc.stderr
+
+
+def test_bias_surface_negative_seed(tmp_path, capsys):
+    code = main(["bias-surface", "--variant", "fig1", "--gamma-range", "0:1:0.5",
+                 "--beta-range", "0:1:0.5", "--seed", "-3", "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "seed must be a nonnegative integer, got -3" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_bias_surface_bad_range(tmp_path):

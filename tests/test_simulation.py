@@ -363,6 +363,8 @@ def test_config_default_estimators():
         ("correlated = maybe", "boolean"),
         ("n = abc", "integer"),
         ("bogus_key = 1", "unknown key"),
+        ("seed = -1", "seed"),
+        ("estimators =", "empty value"),
     ],
 )
 def test_config_errors(mutation, fragment):

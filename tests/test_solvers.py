@@ -221,23 +221,6 @@ def test_calibration_unbounded_on_separable_data():
         fit_calibration_lasso(data, 0.0)
 
 
-def test_calibration_objective_trace_monotone(dataset):
-    fit = fit_calibration_lasso(dataset, 0.05)
-    trace = fit.objective_trace
-    assert trace is not None and len(trace) == fit.n_iter + 1
-    diffs = np.diff(trace)
-    assert np.all(diffs <= 1e-12 * np.maximum(1.0, np.abs(trace[:-1])))
-
-
-def test_coordinate_descent_objective_trace_monotone(dataset):
-    gamma = fit_calibration_lasso(dataset, 0.05)
-    beta = fit_weighted_outcome_lasso(dataset, gamma, 0.1)
-    trace = beta.objective_trace
-    assert trace is not None and len(trace) == beta.n_iter + 1
-    diffs = np.diff(trace)
-    assert np.all(diffs <= 1e-12 * np.maximum(1.0, np.abs(trace[:-1])))
-
-
 # ---------------------------------------------------------------------------
 # weighted outcome lasso (stage 2)
 # ---------------------------------------------------------------------------
@@ -346,8 +329,7 @@ def test_working_set_lasso_matches_dense_coordinate_descent(p, weighted):
     lin = z.T @ (weights * data.y) / data.n
     x0 = np.zeros(p + 1)
     x0[0] = lin[0] / gram[0, 0]
-    penalized = np.arange(p + 1) > 0
-    dense, *_ = _cd_quadratic(gram, lin, lam, penalized, x0, DEFAULT_TOL, DEFAULT_CD_SWEEPS)
+    dense, _, _ = _cd_quadratic(gram, lin, lam, x0, DEFAULT_CD_SWEEPS)
     coef_std = fit.coef.copy()
     coef_std[1:] *= scales
     assert np.max(np.abs(coef_std - dense)) <= 1e-7
@@ -356,9 +338,6 @@ def test_working_set_lasso_matches_dense_coordinate_descent(p, weighted):
     grad = z.T @ (weights * (z @ coef_std - data.y)) / data.n
     assert fit.kkt_residual <= DEFAULT_TOL
     assert l1_violation(grad, coef_std, lam) == pytest.approx(fit.kkt_residual, abs=1e-12)
-    trace = fit.objective_trace
-    assert len(trace) == fit.n_iter + 1
-    assert np.all(np.diff(trace) <= 1e-12 * np.maximum(1.0, np.abs(trace[:-1])))
 
 
 @pytest.mark.parametrize("weighted", [True, False], ids=["weighted", "linear"])
@@ -468,6 +447,23 @@ def test_logistic_lasso_kkt(seed):
     assert l1_violation(score, fit.coef * s, lam) <= lam * 1e-4 + 1e-8
 
 
+@pytest.mark.parametrize("at_zero", [False, True], ids=["suite_lambda", "zero_lambda"])
+@pytest.mark.parametrize("fitter", [fit_calibration_lasso, fit_logistic_lasso],
+                         ids=["calibration", "logistic"])
+def test_propensity_lasso_reports_its_kkt_residual(fitter, at_zero):
+    data = random_dataset(21, n=200, p=10, signal=1.5)  # nonempty active sets
+    lam = 0.0 if at_zero else default_penalties(data.n, data.p)[0]
+    fit = fitter(data, lam)
+    z = data.design()
+    if fitter is fit_calibration_lasso:
+        score = calibration_score(data, fit.coef)
+    else:
+        score = z.T @ (expit(z @ fit.coef) - data.a) / data.n
+    s = unit_sd(data)
+    assert fit.kkt_residual <= solvers.DEFAULT_TOL
+    assert l1_violation(score / s, fit.coef * s, lam) == pytest.approx(fit.kkt_residual, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # OLS and plain lasso
 # ---------------------------------------------------------------------------
@@ -538,6 +534,9 @@ def test_solver_options_are_removed(dataset):
         from pbrdr import SolverOptions  # noqa: F401
     with pytest.raises(TypeError):
         fit_linear_lasso(dataset, 0.1, opts=None)
+    # nor do fits carry an objective trace
+    with pytest.raises(TypeError):
+        solvers.Coefficients(np.zeros(2), 0.1, 0.0, 1, objective_trace=None)
 
 
 def test_linear_lasso_orthonormal_soft_threshold():
