@@ -140,19 +140,24 @@ def load_csv_dataset(path, schema: CsvSchema) -> Tuple[Dataset, List[str]]:
     # Parse each candidate covariate token once, in place: a number becomes a
     # float and a missing value None; a token that is not a number stays text,
     # which excludes its column when the covariates are auto-detected. Fields
-    # past the end of a short row are absent, not missing.
+    # past the end of a short row are absent, not missing. ``float`` runs
+    # first: every NA token is one it rejects or reads as NaN, so only those
+    # need the NA check (``-nan`` reads as NaN but is not an NA token).
     width = len(header)
     positions = sorted({idx[c] for c in candidates})
     text_positions = set()
     for row in rows:
         for j in positions if len(row) >= width else [j for j in positions if j < len(row)]:
-            if _is_missing(row[j]):
-                row[j] = None
-                continue
+            token = row[j]
             try:
-                row[j] = float(row[j])
+                value = float(token)
             except ValueError:
-                text_positions.add(j)
+                if _is_missing(token):
+                    row[j] = None
+                else:
+                    text_positions.add(j)
+                continue
+            row[j] = None if value != value and _is_missing(token) else value
     if schema.covariate_cols is None:
         cov_cols = [c for c in candidates if idx[c] not in text_positions]
     else:

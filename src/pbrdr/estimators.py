@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import expit
 
 from .dataset import Dataset
 from .errors import ConfigError, DegenerateData, PbrdrError, PositivityViolation
@@ -27,6 +26,7 @@ from .solvers import (
     Coefficients,
     NuisanceFit,
     default_penalties,
+    expit,
     fit_br_refit,
     fit_calibration_lasso,
     fit_linear_lasso,
@@ -35,7 +35,6 @@ from .solvers import (
     fit_ols,
     fit_weighted_outcome_lasso,
     post_lasso_refit,
-    _inverse_odds_weights,
 )
 
 # Fitted propensities below this value on units that need weighting raise
@@ -270,16 +269,11 @@ def _suite_builders(data: Dataset, lam_gamma: float, lam_beta: float):
         return shared("g_pbr", lambda: fit_calibration_lasso(data, lam_gamma))
 
     def b_pbr():
-        def build():
-            # The nominal level lives on the weight-normalized scale of
-            # weighted-lasso software fitting the treated subsample, which
-            # divides by the weight total; the solver divides by the full n.
-            gamma = g_pbr()
-            w_t = _inverse_odds_weights(data, gamma.coef)[data.a == 1.0]
-            lam_eff = lam_beta * float(w_t.sum()) / data.n
-            return fit_weighted_outcome_lasso(data, gamma, lam_eff)
-
-        return shared("b_pbr", build)
+        # The nominal level lives on the weight-normalized scale.
+        return shared(
+            "b_pbr",
+            lambda: fit_weighted_outcome_lasso(data, g_pbr(), lam_beta, weight_scaled=True),
+        )
 
     def union(g, b):
         return sorted(set(g().active_set) | set(b().active_set))

@@ -29,11 +29,11 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import expit
 
 from .dataset import Dataset
 from .errors import ConfigError, DimensionError
 from .estimators import _resolve_tags, estimate_suite
+from .solvers import expit
 
 _MU0_ORACLE_DRAWS = 10_000_000
 _MU0_ORACLE_CHUNK = 1_000_000

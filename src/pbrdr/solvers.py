@@ -47,10 +47,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from statistics import NormalDist
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy.special import expit, ndtri
 
 from .dataset import Dataset
 from .errors import (
@@ -118,7 +118,7 @@ def normal_quantile(q: float) -> float:
     """Standard normal quantile function (inverse of the normal CDF)."""
     if not 0.0 < q < 1.0:
         raise DomainError(f"normal_quantile requires 0 < q < 1, got {q}")
-    return float(ndtri(q))
+    return NormalDist().inv_cdf(q)
 
 
 def default_penalties(n: int, p: int) -> tuple[float, float]:
@@ -139,6 +139,17 @@ def default_penalties(n: int, p: int) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # shared numerical helpers
 # ---------------------------------------------------------------------------
+
+
+def expit(v):
+    """Logistic function ``1 / (1 + exp(-v))``, elementwise.
+
+    The formula scipy's ``expit`` uses; below about -709 ``exp(-v)``
+    overflows to inf and the result is exactly 0, so that overflow is
+    expected and silenced.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-v))
 
 
 def _column_scales(x: np.ndarray) -> np.ndarray:
@@ -596,7 +607,7 @@ def _weighted_lasso(data: Dataset, weights: np.ndarray, lam: float) -> Coefficie
 
 
 def fit_weighted_outcome_lasso(
-    data: Dataset, gamma_hat: Coefficients, lambda_beta: float
+    data: Dataset, gamma_hat: Coefficients, lambda_beta: float, *, weight_scaled: bool = False
 ) -> Coefficients:
     """Fit the outcome model by inverse-odds-weighted l1-penalised least squares.
 
@@ -604,6 +615,11 @@ def fit_weighted_outcome_lasso(
     fit; only treated units enter the quadratic term. The stationarity system
     is the weighted-score equation
     ``(1/n) sum_i w_i A_i (y_i - b.z_i) z_i = lam * subgrad``.
+
+    ``lam`` is ``lambda_beta``, or with ``weight_scaled`` (P-BR's level)
+    ``lambda_beta * sum_i w_i A_i / n``: the nominal level of weighted-lasso
+    software fitting the treated subsample, which divides by the weight total
+    where this solver divides by ``n``.
     """
     if lambda_beta < 0:
         raise ValueError("lambda_beta must be nonnegative")
@@ -612,6 +628,8 @@ def fit_weighted_outcome_lasso(
     if not np.all(np.isfinite(gamma_hat.coef)):
         raise ValueError("gamma_hat must be finite")
     weights = _inverse_odds_weights(data, gamma_hat.coef)
+    if weight_scaled:
+        lambda_beta = lambda_beta * float(weights[data.a == 1.0].sum()) / data.n
     return _weighted_lasso(data, weights, lambda_beta)
 
 

@@ -18,7 +18,7 @@ from pbrdr import (
     surface_dataset,
     target_mean,
 )
-from pbrdr.bias_surface import _reference_slope
+from pbrdr.bias_surface import _MU0_ORACLE_SEED, _outcome_mean, _reference_slope, _scalar_dr_bias
 from pbrdr.solvers import _calibration_value_grad, _logistic_value_grad
 
 
@@ -87,7 +87,8 @@ def test_reference_fits_converge_at_float_noise_floor():
 
 
 def test_surface_values_match_direct_plugin():
-    # each grid value equals the DR plug-in computed by direct summation
+    # each grid value equals the DR plug-in computed by direct summation, and
+    # the module's own cell-by-cell plug-in
     dgp = SurfaceDgp("fig1", 20_000, 2)
     gammas = [0.4, 0.8]
     betas = [-3.0, 0.0, 2.0]
@@ -102,6 +103,22 @@ def test_surface_values_match_direct_plugin():
             u = np.where(data.a == 1.0, m + (data.y - m) / pi, m)
             raw = float(np.mean(u)) - mu0
             assert grid.rescaled_bias[i, j] == pytest.approx(rescale_bias(raw), abs=1e-10)
+            cell = _scalar_dr_bias(x, data.a, data.y, gs, bs, mu0)
+            assert grid.rescaled_bias[i, j] == pytest.approx(rescale_bias(cell), abs=1e-10)
+
+
+def test_gamma_draws_are_unit_exponential_draws():
+    # X = 3 - V with V ~ Gamma(1, 1): the sample and the oracle draw V as a
+    # unit exponential, which numpy takes from the same stream as gamma(1, 1)
+    data = surface_dataset(SurfaceDgp("fig2", 50_000, 5))
+    rng_x = np.random.default_rng(np.random.SeedSequence(entropy=5)).spawn(3)[0]
+    assert np.array_equal(data.x[:, 0], 3.0 - rng_x.gamma(shape=1.0, scale=1.0, size=50_000))
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=_MU0_ORACLE_SEED))
+    total = 0.0
+    for _ in range(10):  # the oracle's 10^7 draws in chunks of 10^6
+        v = rng.gamma(shape=1.0, scale=1.0, size=1_000_000)
+        total += float(np.sum(_outcome_mean(3.0 - v, "fig1")))
+    assert target_mean("fig1") == total / 10_000_000
 
 
 def test_surface_br_point_is_saddle():

@@ -190,6 +190,53 @@ def test_autodetected_missing_tokens_drop_rows(tmp_path, capsys):
     assert "y and x must contain only finite values" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "token, outcome",
+    [
+        ("NA", "missing"),
+        (" nan ", "missing"),
+        ("NULL", "missing"),
+        ("", "missing"),
+        ("-nan", "non-finite"),  # NaN to float(), but not an NA token
+        ("inf", "non-finite"),
+        ("abc", "text"),
+        (" 2.5 ", "number"),
+    ],
+)
+def test_csv_covariate_token_table(tmp_path, capsys, token, outcome):
+    rows = ["y,a,x1,x2"] + [f"{i * 0.1},{i % 2},{i * 0.3},{(i * 7) % 5}" for i in range(14)]
+    rows[3] = f"0.2,1,0.6,{token}"  # line 4
+    path = tmp_path / "tokens.csv"
+    path.write_text("\n".join(rows) + "\n")
+    argv = ["estimate", "--csv", str(path), "--outcome", "y", "--treatment", "a",
+            "--estimator", "OR-OLS", "--report", str(tmp_path / "rep.json")]
+    if outcome == "non-finite":
+        assert main(argv) == 2
+        assert "y and x must contain only finite values" in capsys.readouterr().err
+        return
+    data, cols = load_csv_dataset(path, CsvSchema("y", "a"))
+    if outcome == "missing":
+        assert cols == ["x1", "x2"] and data.n == 13
+        assert 0.2 not in data.y  # the row with the missing token is the one dropped
+        assert main(argv + ["--na-policy", "error"]) == 2
+        assert ":4: missing value" in capsys.readouterr().err
+    elif outcome == "text":
+        assert cols == ["x1"] and data.n == 14  # the text column is excluded
+    else:
+        assert cols == ["x1", "x2"] and data.n == 14 and data.x[2, 1] == 2.5
+
+
+def test_csv_roundtrip_is_byte_identical(tmp_path):
+    data = random_dataset(11, n=60, p=5)
+    path = tmp_path / "rt.csv"
+    write_dataset_csv(data, path)
+    back, cols = load_csv_dataset(path, CsvSchema("y", "a"))
+    assert cols == [f"x{j}" for j in range(1, 6)]
+    for got, want in ((back.y, data.y), (back.a, data.a), (back.x, data.x)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 """Solver-level tests: closed-form oracles, stationarity conditions, error contracts."""
 
 import math
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.special import expit
+from scipy.special import expit, ndtri
 
 from conftest import random_dataset
 from pbrdr import (
@@ -120,6 +123,38 @@ def test_normal_quantile_roundtrip(q):
 def test_normal_quantile_domain(q):
     with pytest.raises(DomainError):
         normal_quantile(q)
+
+
+def test_normal_quantile_matches_ndtri_at_penalty_quantiles():
+    # NormalDist.inv_cdf against scipy's ndtri, at the quantiles
+    # default_penalties asks for; 1e-15 relative is a few ulp at these values
+    qs = [0.975] + [
+        1.0 - 0.05 / max(float(n), p * math.log(n))
+        for n in (40, 200, 500, 2000, 5000)
+        for p in (4, 40, 100, 1000)
+    ]
+    for q in qs:
+        assert abs(normal_quantile(q) - ndtri(q)) <= 1e-15 * abs(ndtri(q))
+
+
+def test_expit_matches_scipy_without_warnings():
+    # Both are 1/(1 + exp(-v)), each within 2 ulp of the exact value (their
+    # exp functions differ), so at most 4 ulp apart.
+    v = np.linspace(-800.0, 800.0, 400_001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ours = solvers.expit(v)
+        assert solvers.expit(-800.0) == 0.0 and solvers.expit(800.0) == 1.0
+    assert ours[0] == 0.0 and ours[-1] == 1.0
+    ulps = np.abs(ours.view(np.int64) - expit(v).view(np.int64))
+    assert ulps.max() <= 4
+
+
+def test_import_leaves_scipy_unloaded():
+    code = "import sys, pbrdr; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_default_penalties_reference_value():
@@ -267,6 +302,18 @@ def test_weighted_lasso_kkt(seed):
     s = unit_sd(data)
     grad = -weighted_outcome_score(data, gamma.coef, beta.coef) / s
     assert l1_violation(grad, beta.coef * s, lam) <= lam * 1e-4 + 1e-8
+
+
+def test_weight_scaled_level_is_weight_total_over_n():
+    # P-BR's level: the nominal lambda times the treated units' inverse-odds
+    # weight total over n
+    data = random_dataset(2, n=160, p=5)
+    gamma = fit_calibration_lasso(data, 0.08)
+    pi_t = expit(data.design() @ gamma.coef)[data.a == 1.0]
+    scaled = fit_weighted_outcome_lasso(data, gamma, 0.12, weight_scaled=True)
+    assert scaled.lam == pytest.approx(0.12 * float(np.sum((1.0 - pi_t) / pi_t)) / data.n, rel=1e-12)
+    plain = fit_weighted_outcome_lasso(data, gamma, scaled.lam)
+    assert np.array_equal(scaled.coef, plain.coef)
 
 
 def test_weighted_lasso_zero_lambda_normal_equations(dataset):
