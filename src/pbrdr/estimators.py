@@ -269,11 +269,7 @@ def _suite_builders(data: Dataset, lam_gamma: float, lam_beta: float):
         return shared("g_pbr", lambda: fit_calibration_lasso(data, lam_gamma))
 
     def b_pbr():
-        # The nominal level lives on the weight-normalized scale.
-        return shared(
-            "b_pbr",
-            lambda: fit_weighted_outcome_lasso(data, g_pbr(), lam_beta, weight_scaled=True),
-        )
+        return shared("b_pbr", lambda: fit_weighted_outcome_lasso(data, g_pbr(), lam_beta))
 
     def union(g, b):
         return sorted(set(g().active_set) | set(b().active_set))

@@ -7,8 +7,8 @@ Two fitters carry the method itself:
   stationarity conditions are the weighted covariate-balancing equations
   ``(1/n) sum_i {1 - A_i / pi(z_i; g)} z_i + lam * subgrad = 0``.
 * :func:`fit_weighted_outcome_lasso` minimises the inverse-odds-weighted
-  squared loss ``(1/2n) sum_i [w_i A_i (y_i - b.z_i)^2] + lam * ||b||_1`` with
-  ``w_i = (1 - pi_i) / pi_i``.
+  squared loss ``(1/2W) sum_i [w_i A_i (y_i - b.z_i)^2] + lam * ||b||_1`` with
+  ``w_i = (1 - pi_i) / pi_i`` and ``W = sum_i w_i A_i`` the weight total.
 
 Around them sit the standard fitters used by the comparator estimators
 (logistic MLE, OLS, plain lasso variants, post-selection refits, the
@@ -607,19 +607,18 @@ def _weighted_lasso(data: Dataset, weights: np.ndarray, lam: float) -> Coefficie
 
 
 def fit_weighted_outcome_lasso(
-    data: Dataset, gamma_hat: Coefficients, lambda_beta: float, *, weight_scaled: bool = False
+    data: Dataset, gamma_hat: Coefficients, lambda_beta: float
 ) -> Coefficients:
     """Fit the outcome model by inverse-odds-weighted l1-penalised least squares.
 
     The weights ``w_i = (1 - pi_i)/pi_i`` come from the supplied propensity
-    fit; only treated units enter the quadratic term. The stationarity system
-    is the weighted-score equation
+    fit; only treated units enter the quadratic term. The loss is normalized
+    by the weight total ``W = sum_i w_i A_i``, as weighted-lasso software
+    fitting the treated subsample does, so the problem solved on the mean
+    scale is ``(1/2n) sum_i w_i A_i (y_i - b.z_i)^2 + lam * ||b||_1`` with
+    ``lam = lambda_beta * W / n``; the result reports that ``lam``, the level of
+    its weighted-score equation
     ``(1/n) sum_i w_i A_i (y_i - b.z_i) z_i = lam * subgrad``.
-
-    ``lam`` is ``lambda_beta``, or with ``weight_scaled`` (P-BR's level)
-    ``lambda_beta * sum_i w_i A_i / n``: the nominal level of weighted-lasso
-    software fitting the treated subsample, which divides by the weight total
-    where this solver divides by ``n``.
     """
     if lambda_beta < 0:
         raise ValueError("lambda_beta must be nonnegative")
@@ -628,9 +627,8 @@ def fit_weighted_outcome_lasso(
     if not np.all(np.isfinite(gamma_hat.coef)):
         raise ValueError("gamma_hat must be finite")
     weights = _inverse_odds_weights(data, gamma_hat.coef)
-    if weight_scaled:
-        lambda_beta = lambda_beta * float(weights[data.a == 1.0].sum()) / data.n
-    return _weighted_lasso(data, weights, lambda_beta)
+    lam = lambda_beta * float(weights[data.a == 1.0].sum()) / data.n
+    return _weighted_lasso(data, weights, lam)
 
 
 def fit_linear_lasso(data: Dataset, lam: float) -> Coefficients:

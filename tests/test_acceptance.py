@@ -238,7 +238,7 @@ def test_criterion_6_kkt_property_suite():
         b = beta.coef * s
         w = np.where(data.a == 1.0, np.exp(-(z @ g)), 0.0)
         grad_b = -z.T @ (w * (data.y - z @ b)) / n
-        worst_f2 = max(worst_f2, _stationarity_violation(grad_b, b, lam))
+        worst_f2 = max(worst_f2, _stationarity_violation(grad_b, b, beta.lam))
         if lam == 0.0:
             worst_exact = max(
                 worst_exact, float(np.max(np.abs(score_g))), float(np.max(np.abs(grad_b)))
@@ -281,7 +281,7 @@ def test_criterion_7_oracle_equivalences():
         expected = np.empty(p + 1)
         expected[0] = lin[0] / gram_diag[0]
         for j in range(1, p + 1):
-            expected[j] = math.copysign(max(abs(lin[j]) - lam, 0.0), lin[j]) / gram_diag[j]
+            expected[j] = math.copysign(max(abs(lin[j]) - fit.lam, 0.0), lin[j]) / gram_diag[j]
         worst_soft = max(worst_soft, float(np.max(np.abs(fit.coef * s - expected))))
 
     # (b) metric computation vs a naive two-pass reference
