@@ -27,9 +27,7 @@ from .estimators import (
     SuiteEntry,
     ate_estimate,
     dr_estimate,
-    estimate_ds_pbr,
     estimate_one,
-    estimate_pbr,
     estimate_suite,
     influence_values,
     iptw_estimate,
@@ -44,7 +42,6 @@ from .simulation import (
     compute_metrics,
     draw_dataset,
     gen_covariates,
-    parse_config,
     parse_config_text,
     run_monte_carlo,
     scenario1_model,
@@ -69,7 +66,6 @@ from .bias_surface import (
     SurfaceGrid,
     evaluate_surface,
     export_surface,
-    read_surface,
     rescale_bias,
     surface_dataset,
     target_mean,

@@ -33,7 +33,6 @@ widely across seeds; the bias-reduced and imputation references are stable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Tuple
@@ -202,7 +201,7 @@ def evaluate_surface(dgp: SurfaceDgp, gamma_grid, beta_grid) -> SurfaceGrid:
 
 
 # ---------------------------------------------------------------------------
-# CSV export / import
+# CSV export
 # ---------------------------------------------------------------------------
 
 
@@ -231,41 +230,3 @@ def export_surface(grid: SurfaceGrid, path) -> Tuple[Path, Path]:
         fh.write(f"br_point_gamma,{grid.br_point[0]:.17g}\n")
         fh.write(f"br_point_beta,{grid.br_point[1]:.17g}\n")
     return path, sidecar
-
-
-def read_surface(path) -> SurfaceGrid:
-    """Parse a surface CSV (and its sidecar) back into a :class:`SurfaceGrid`."""
-    path = Path(path)
-    gammas: list = []
-    betas: list = []
-    values: Dict[Tuple[float, float], float] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "gamma_slope,beta_slope,rescaled_bias":
-            raise ConfigError(f"unexpected surface header {header!r}")
-        for line in fh:
-            gs_s, bs_s, rb_s = line.strip().split(",")
-            gs, bs, rb = float(gs_s), float(bs_s), float(rb_s)
-            if gs not in gammas:
-                gammas.append(gs)
-            if bs not in betas:
-                betas.append(bs)
-            values[(gs, bs)] = rb
-    g = np.array(gammas)
-    b = np.array(betas)
-    mat = np.array([[values[(gs, bs)] for bs in betas] for gs in gammas])
-    refs: Dict[str, float] = {}
-    br = [math.nan, math.nan]
-    with open(_sidecar_path(path), "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "name,value":
-            raise ConfigError(f"unexpected sidecar header {header!r}")
-        for line in fh:
-            name, _, val = line.strip().partition(",")
-            if name == "br_point_gamma":
-                br[0] = float(val)
-            elif name == "br_point_beta":
-                br[1] = float(val)
-            else:
-                refs[name] = float(val)
-    return SurfaceGrid(g, b, mat, (br[0], br[1]), refs)

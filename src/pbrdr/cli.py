@@ -1,9 +1,11 @@
 """Command-line interface: estimate from a CSV, run simulation sweeps, export bias surfaces.
 
 Exit codes are stable across subcommands: 0 on success, 2 on input errors
-(CSV schema, config file, grid specification), 3 on numerical/solver
-failures. Every run that writes files also writes a manifest listing them
-(even on partial failure): ``simulate`` writes ``<out>/manifest.json``,
+(CSV schema, config file, grid specification; every one a
+:class:`~pbrdr.errors.ConfigError`), 3 on numerical/solver failures (any
+other :class:`~pbrdr.errors.PbrdrError`). Every run that writes files also
+writes a manifest listing them and itself (even on partial failure), with
+the same keys for every command: ``simulate`` writes ``<out>/manifest.json``,
 ``bias-surface`` writes ``<out>/<variant>_manifest.json`` beside its surface
 files, and ``estimate`` writes ``<report stem>.manifest.json`` beside the
 report, so runs sharing an output directory keep separate manifests.
@@ -19,7 +21,7 @@ import re
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -30,7 +32,7 @@ from .bias_surface import SurfaceDgp, evaluate_surface, export_surface
 from .dataset import Dataset
 from .errors import ConfigError, PbrdrError
 from .estimators import ALL_TAGS, ate_estimate, estimate_one
-from .simulation import parse_config, run_monte_carlo
+from .simulation import parse_config_text, run_monte_carlo
 
 _NA_TOKENS = {"", "na", "nan", "null"}
 
@@ -59,39 +61,6 @@ class CsvSchema:
             raise ConfigError(f"covariate column {repeated[0]!r} repeats in {self.covariate_cols}")
 
 
-@dataclass
-class RunManifest:
-    """Record of one CLI run: inputs, outputs, statuses, timing."""
-
-    command: str
-    argv: List[str]
-    config: Dict
-    seed: Optional[int] = None
-    version: str = __version__
-    wall_time_s: float = 0.0
-    statuses: Dict = field(default_factory=dict)
-    output_files: List[str] = field(default_factory=list)
-
-    def write(self, path: Path) -> None:
-        payload = {
-            "command": self.command,
-            "argv": self.argv,
-            "config": self.config,
-            "seed": self.seed,
-            "version": self.version,
-            "wall_time_s": self.wall_time_s,
-            "statuses": self.statuses,
-            "output_files": sorted(set(self.output_files)),
-        }
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-
-class _InputError(Exception):
-    """CSV/schema/grid problems reported with exit code 2."""
-
-
 def _is_missing(token: str) -> bool:
     return token.strip().lower() in _NA_TOKENS
 
@@ -101,35 +70,32 @@ def load_csv_dataset(path, schema: CsvSchema) -> Tuple[Dataset, List[str]]:
 
     Numbers are parsed as 64-bit floats; the treatment column accepts only
     the tokens ``0`` and ``1`` (a value like ``2`` is reported with its line
-    number). Returns the dataset and the covariate column names used.
+    number). Returns the dataset and the covariate column names used. Every
+    input it rejects raises :class:`ConfigError`.
     """
     path = Path(path)
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise _InputError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        repeated = [h for h, k in Counter(header).items() if k > 1]
-        if repeated:
-            raise _InputError(f"{path}: column name {repeated[0]!r} repeats in header {header}")
-        for col in (schema.outcome_col, schema.treatment_col):
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, UnicodeError, csv.Error) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    if not rows:
+        raise ConfigError(f"{path}: empty file")
+    header = [h.strip() for h in rows.pop(0)]
+    repeated = [h for h, k in Counter(header).items() if k > 1]
+    if repeated:
+        raise ConfigError(f"{path}: column name {repeated[0]!r} repeats in header {header}")
+    for col in (schema.outcome_col, schema.treatment_col):
+        if col not in header:
+            raise ConfigError(f"{path}: column {col!r} not found in header {header}")
+    if schema.covariate_cols is not None:
+        for col in schema.covariate_cols:
             if col not in header:
-                raise _InputError(f"{path}: column {col!r} not found in header {header}")
-        if schema.covariate_cols is not None:
-            for col in schema.covariate_cols:
-                if col not in header:
-                    raise _InputError(f"{path}: covariate column {col!r} not found")
-                if col in (schema.outcome_col, schema.treatment_col):
-                    raise _InputError(
-                        f"{path}: covariate column {col!r} clashes with outcome/treatment"
-                    )
-        rows = list(reader)
+                raise ConfigError(f"{path}: covariate column {col!r} not found")
+            if col in (schema.outcome_col, schema.treatment_col):
+                raise ConfigError(
+                    f"{path}: covariate column {col!r} clashes with outcome/treatment"
+                )
 
     idx = {name: j for j, name in enumerate(header)}
     candidates = (
@@ -164,49 +130,70 @@ def load_csv_dataset(path, schema: CsvSchema) -> Tuple[Dataset, List[str]]:
         cov_cols = list(schema.covariate_cols)
 
     cov_idx = [idx[c] for c in cov_cols]
+    # only a named column where pass 1 met text can hold a token left unparsed
+    text_idx = [j for j in cov_idx if j in text_positions]
     iy, ia = idx[schema.outcome_col], idx[schema.treatment_col]
     y, a, x = [], [], []
     for lineno, row in enumerate(rows, start=2):  # header is line 1
         if len(row) != width:
-            raise _InputError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
+            raise ConfigError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
         cells = [row[j] for j in cov_idx]
         if None in cells or _is_missing(row[iy]) or _is_missing(row[ia]):
             if schema.na_policy == "drop_rows":
                 continue
-            raise _InputError(f"{path}:{lineno}: missing value with na_policy=error")
+            raise ConfigError(f"{path}:{lineno}: missing value with na_policy=error")
         a_token = row[ia].strip()
         if a_token not in ("0", "1"):
-            raise _InputError(
+            raise ConfigError(
                 f"{path}:{lineno}: treatment column {schema.treatment_col!r} must be 0 or 1, "
                 f"got {a_token!r}"
             )
         try:
             y.append(float(row[iy]))
-            # floats pass through unchanged; a covariate left as text raises
-            x.append([float(c) for c in cells])
+            for j in text_idx:
+                float(row[j])  # a float from pass 1 passes; text raises
         except ValueError as exc:
-            raise _InputError(f"{path}:{lineno}: {exc}") from exc
+            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+        x.append(cells)
         a.append(float(a_token))
     if len(y) < 10:
-        raise _InputError(f"{path}: only {len(y)} usable rows after parsing; need at least 10")
+        raise ConfigError(f"{path}: only {len(y)} usable rows after parsing; need at least 10")
     x_arr = np.array(x, dtype=float) if cov_cols else np.zeros((len(y), 0))
     x_arr.flags.writeable = False  # handed over: the dataset need not copy it
     try:
         data = Dataset(np.array(y), np.array(a), x_arr)
     except ValueError as exc:
-        raise _InputError(f"{path}: {exc}") from exc
+        raise ConfigError(f"{path}: {exc}") from exc
     return data, cov_cols
 
 
-def write_dataset_csv(data: Dataset, path) -> None:
-    """Write a dataset as CSV (columns ``y,a,x1..xp``) with round-trip-exact floats."""
+# ---------------------------------------------------------------------------
+# reports and manifests
+# ---------------------------------------------------------------------------
+
+
+def _write_json(path: Path, payload: Dict) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        cols = ["y", "a"] + [f"x{j}" for j in range(1, data.p + 1)]
-        fh.write(",".join(cols) + "\n")
-        for i in range(data.n):
-            vals = [format(data.y[i], ".17g"), format(int(data.a[i]), "d")]
-            vals += [format(v, ".17g") for v in data.x[i]]
-            fh.write(",".join(vals) + "\n")
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _write_manifest(path, command, config, t0, statuses, outputs, seed=None) -> None:
+    """Write the manifest of one run to ``path``: its inputs, statuses, the
+    files it wrote (the manifest included) and the wall time since ``t0``."""
+    _write_json(
+        path,
+        {
+            "command": command,
+            "argv": sys.argv[1:],
+            "config": config,
+            "seed": seed,
+            "version": __version__,
+            "wall_time_s": time.perf_counter() - t0,
+            "statuses": statuses,
+            "output_files": sorted({*outputs, str(path)}),
+        },
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +217,7 @@ def _result_payload(res) -> Dict:
 
 
 def cmd_estimate(args) -> int:
+    t0 = time.perf_counter()
     schema = CsvSchema(
         outcome_col=args.outcome,
         treatment_col=args.treatment,
@@ -237,7 +225,6 @@ def cmd_estimate(args) -> int:
         na_policy=args.na_policy,
     )
     data, cov_cols = load_csv_dataset(args.csv, schema)
-    t0 = time.perf_counter()
     if args.target == "ate":
         res = ate_estimate(data, args.estimator)
         payload = {
@@ -250,31 +237,27 @@ def cmd_estimate(args) -> int:
             "arm1": _result_payload(res.arm1),
             "arm0": _result_payload(res.arm0),
         }
-        print(f"target      : ate  (estimator {args.estimator})")
-        print(f"estimate    : {res.ate:.6g}")
-        print(f"se          : {res.se:.6g}")
-        print(f"95% ci      : [{res.ci[0]:.6g}, {res.ci[1]:.6g}]")
     else:
         work = data if args.target == "mu1" else data.swap_treatment()
-        res = estimate_one(work, args.estimator)
-        payload = dict(_result_payload(res), target=args.target)
-        print(f"target      : {args.target}  (estimator {args.estimator})")
-        print(f"estimate    : {res.mu_hat:.6g}")
-        print(f"se          : {res.se:.6g}{'  (naive)' if res.se_is_naive else ''}")
-        print(f"95% ci      : [{res.ci[0]:.6g}, {res.ci[1]:.6g}]")
-        if res.fit is not None:
-            print(
-                f"active sets : propensity {len(res.fit.gamma.active_set)}, "
-                f"outcome {len(res.fit.beta.active_set)}"
-            )
+        payload = dict(_result_payload(estimate_one(work, args.estimator)), target=args.target)
+    print(f"target      : {args.target}  (estimator {args.estimator})")
+    print(f"estimate    : {payload['estimate']:.6g}")
+    print(f"se          : {payload['se']:.6g}{'  (naive)' if payload.get('se_is_naive') else ''}")
+    print(f"95% ci      : [{payload['ci_lower']:.6g}, {payload['ci_upper']:.6g}]")
+    if "propensity_active_set_size" in payload:
+        print(
+            f"active sets : propensity {payload['propensity_active_set_size']}, "
+            f"outcome {payload['outcome_active_set_size']}"
+        )
     payload["n"] = data.n
     payload["n_treated"] = data.n_treated
     payload["covariates"] = cov_cols
     report = Path(args.report) if args.report else Path(args.csv).with_suffix(".estimate.json")
-    manifest = RunManifest(
-        command="estimate",
-        argv=sys.argv[1:],
-        config={
+    _write_json(report, payload)
+    _write_manifest(
+        report.with_name(report.stem + ".manifest.json"),
+        "estimate",
+        {
             "csv": str(args.csv),
             "outcome": args.outcome,
             "treatment": args.treatment,
@@ -283,14 +266,10 @@ def cmd_estimate(args) -> int:
             "target": args.target,
             "na_policy": args.na_policy,
         },
+        t0,
+        {args.estimator: "ok"},
+        [str(report)],
     )
-    manifest.statuses = {args.estimator: "ok"}
-    manifest.wall_time_s = time.perf_counter() - t0
-    with open(report, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    manifest.output_files.append(str(report))
-    manifest.write(report.with_name(report.stem + ".manifest.json"))
     print(f"report      : {report}")
     return 0
 
@@ -300,30 +279,18 @@ def cmd_estimate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _finish_manifest(manifest: RunManifest, path: Path, t0: float) -> None:
-    """Record the wall time since ``t0``, list the manifest itself and write it."""
-    manifest.wall_time_s = time.perf_counter() - t0
-    manifest.output_files.append(str(path))
-    manifest.write(path)
-    print(f"wrote {path}")
-
-
 def cmd_simulate(args) -> int:
     try:
-        cells = parse_config(args.config)
-    except OSError as exc:
-        raise _InputError(f"cannot read config {args.config}: {exc}") from exc
+        with open(args.config, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeError) as exc:
+        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+    cells = parse_config_text(text)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     n_jobs = max(1, args.threads)
-    with open(args.config, "r", encoding="utf-8") as fh:
-        config_echo = fh.read()
-    manifest = RunManifest(
-        command="simulate",
-        argv=sys.argv[1:],
-        config={"path": str(args.config), "text": config_echo, "threads": n_jobs},
-        seed=cells[0][0].seed if cells else None,
-    )
+    statuses: Dict = {}
+    outputs: List[str] = []
     t0 = time.perf_counter()
     try:
         for spec, tags in cells:
@@ -331,17 +298,27 @@ def cmd_simulate(args) -> int:
             try:
                 table = run_monte_carlo(spec, tags, n_jobs=n_jobs)
             except PbrdrError as exc:
-                manifest.statuses[name] = {"error": type(exc).__name__, "message": str(exc)}
+                statuses[name] = {"error": type(exc).__name__, "message": str(exc)}
                 continue
             out_path = out_dir / f"{name}.csv"
             table.write_csv(out_path)
-            manifest.output_files.append(str(out_path))
-            manifest.statuses[name] = {
+            outputs.append(str(out_path))
+            statuses[name] = {
                 tag: {"n_failed": row.n_failed} for tag, row in sorted(table.rows.items())
             }
             print(f"wrote {out_path}")
     finally:
-        _finish_manifest(manifest, out_dir / "manifest.json", t0)
+        manifest = out_dir / "manifest.json"
+        _write_manifest(
+            manifest,
+            "simulate",
+            {"path": str(args.config), "text": text, "threads": n_jobs},
+            t0,
+            statuses,
+            outputs,
+            seed=cells[0][0].seed,  # every cell of a config shares its seed
+        )
+        print(f"wrote {manifest}")
     return 0
 
 
@@ -353,17 +330,17 @@ def cmd_simulate(args) -> int:
 def _parse_range(text: str, name: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
-        raise _InputError(f"{name} must be A:B:STEP, got {text!r}")
+        raise ConfigError(f"{name} must be A:B:STEP, got {text!r}")
     try:
         lo, hi, step = (float(p) for p in parts)
     except ValueError:
-        raise _InputError(f"{name} must contain numbers, got {text!r}") from None
+        raise ConfigError(f"{name} must contain numbers, got {text!r}") from None
     if not all(map(math.isfinite, (lo, hi, step))):
-        raise _InputError(f"{name} must contain finite numbers, got {text!r}")
+        raise ConfigError(f"{name} must contain finite numbers, got {text!r}")
     if step <= 0:
-        raise _InputError(f"{name}: step must be positive, got {step}")
+        raise ConfigError(f"{name}: step must be positive, got {step}")
     if hi < lo:
-        raise _InputError(f"{name}: upper bound {hi} below lower bound {lo}")
+        raise ConfigError(f"{name}: upper bound {hi} below lower bound {lo}")
     count = math.floor((hi - lo) / step + 1e-9) + 1
     return lo + step * np.arange(count)
 
@@ -374,23 +351,14 @@ def cmd_bias_surface(args) -> int:
     dgp = SurfaceDgp(args.variant, args.n_large, args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(
-        command="bias-surface",
-        argv=sys.argv[1:],
-        config={
-            "variant": args.variant,
-            "gamma_range": args.gamma_range,
-            "beta_range": args.beta_range,
-            "n_large": args.n_large,
-        },
-        seed=args.seed,
-    )
+    statuses: Dict = {}
+    outputs: List[str] = []
     t0 = time.perf_counter()
     try:
         grid = evaluate_surface(dgp, gamma_grid, beta_grid)
         main_path, sidecar = export_surface(grid, out_dir / f"{args.variant}_surface.csv")
-        manifest.output_files += [str(main_path), str(sidecar)]
-        manifest.statuses = {
+        outputs += [str(main_path), str(sidecar)]
+        statuses = {
             "references": grid.reference_biases,
             "br_point": list(grid.br_point),
             "cells": int(gamma_grid.size * beta_grid.size),
@@ -400,7 +368,22 @@ def cmd_bias_surface(args) -> int:
         for tag, val in grid.reference_biases.items():
             print(f"reference {tag:7s}: {val:.4g}")
     finally:
-        _finish_manifest(manifest, out_dir / f"{args.variant}_manifest.json", t0)
+        manifest = out_dir / f"{args.variant}_manifest.json"
+        _write_manifest(
+            manifest,
+            "bias-surface",
+            {
+                "variant": args.variant,
+                "gamma_range": args.gamma_range,
+                "beta_range": args.beta_range,
+                "n_large": args.n_large,
+            },
+            t0,
+            statuses,
+            outputs,
+            seed=args.seed,
+        )
+        print(f"wrote {manifest}")
     return 0
 
 
@@ -459,7 +442,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (_InputError, ConfigError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PbrdrError as exc:

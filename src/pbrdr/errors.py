@@ -39,12 +39,12 @@ class PositivityViolation(PbrdrError):
     """A required propensity value fell below the positivity guard threshold."""
 
 
-class DimensionError(PbrdrError):
-    """Covariate dimension is incompatible with the requested data-generating process."""
-
-
 class ConfigError(PbrdrError):
     """Invalid configuration value (unknown estimator tag, bad key, unparseable value)."""
+
+
+class DimensionError(ConfigError):
+    """Covariate dimension is incompatible with the requested data-generating process."""
 
 
 class DomainError(PbrdrError):

@@ -211,25 +211,6 @@ def pop_iptw_estimate(
     return _result_from_influence(u, estimator, se_is_naive=True)
 
 
-def estimate_pbr(data: Dataset) -> EstimateResult:
-    """Full penalised bias-reduced pipeline.
-
-    Default penalties from :func:`default_penalties`, then the calibration
-    lasso for the propensity model, the inverse-odds-weighted lasso for the
-    outcome model (penalty applied on the weight-normalized scale), and the
-    DR plug-in. The returned result carries the nuisance fit (both active
-    sets) in ``fit``.
-    """
-    return estimate_one(data, "P-BR")
-
-
-def estimate_ds_pbr(data: Dataset) -> EstimateResult:
-    """Double-selection variant: refit the bias-reduced system without l1 penalty
-    on the union of the covariates selected by the P-BR stage, keeping a ridge
-    term on the propensity equation for numerical stability."""
-    return estimate_one(data, "DS-P-BR")
-
-
 def _suite_builders(data: Dataset, lam_gamma: float, lam_beta: float):
     """Tag -> builder map with shared, lazily computed nuisance fits.
 

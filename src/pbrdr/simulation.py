@@ -41,6 +41,7 @@ _MU0_ORACLE_SEED = 202406  # fixed stream so the cached oracle value is reproduc
 _MU0_CACHE: Dict[Tuple, float] = {}
 
 VALID_SCENARIOS = ("S1", "S2")
+_S1_SIGNAL = 0.75  # scale of the S1 linear outcome signal
 
 
 @dataclass
@@ -55,7 +56,6 @@ class ScenarioSpec:
     ps_correct: bool
     reps: int
     seed: int
-    c_signal: float = 0.75
 
     def __post_init__(self) -> None:
         if self.scenario not in VALID_SCENARIOS:
@@ -126,7 +126,7 @@ def scenario1_model(spec: ScenarioSpec) -> TrueModel:
     if spec.p < 15:
         raise DimensionError("scenario S1 requires p >= 15")
     b, g = _s1_coefficients(spec.p)
-    c = spec.c_signal
+    c = _S1_SIGNAL
 
     if spec.or_correct:
         def m0(x: np.ndarray) -> np.ndarray:
@@ -470,7 +470,3 @@ def parse_config_text(text: str) -> List[Tuple[ScenarioSpec, Tuple[str, ...]]]:
                             )
     return cells
 
-
-def parse_config(path) -> List[Tuple[ScenarioSpec, Tuple[str, ...]]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())

@@ -26,6 +26,13 @@ def random_dataset(seed, n=120, p=5, signal=0.6):
     return Dataset(y, a, x)
 
 
+def write_csv(data, path):
+    """Write ``data`` as a ``y,a,x1..xp`` CSV with round-trip-exact floats."""
+    header = ",".join(["y", "a"] + [f"x{j}" for j in range(1, data.p + 1)])
+    table = np.column_stack([data.y, data.a, data.x])
+    np.savetxt(path, table, delimiter=",", fmt="%.17g", header=header, comments="")
+
+
 @pytest.fixture
 def dataset():
     return random_dataset(0)

@@ -13,7 +13,6 @@ from pbrdr import (
     SurfaceDgp,
     evaluate_surface,
     export_surface,
-    read_surface,
     rescale_bias,
     surface_dataset,
     target_mean,
@@ -189,9 +188,9 @@ def test_export_roundtrip(tmp_path):
     tags = [ln.split(",")[0] for ln in side_lines[1:]]
     assert tags == ["BR", "MLE-DR", "IPW", "IMP", "br_point_gamma", "br_point_beta"]
     assert len([t for t in tags if not t.startswith("br_point")]) == 4
-    back = read_surface(main_path)
-    assert np.array_equal(back.gamma_slopes, grid.gamma_slopes)
-    assert np.array_equal(back.beta_slopes, grid.beta_slopes)
-    assert np.array_equal(back.rescaled_bias, grid.rescaled_bias)
-    assert back.br_point == grid.br_point
-    assert back.reference_biases == grid.reference_biases
+    gammas, betas = np.meshgrid(grid.gamma_slopes, grid.beta_slopes, indexing="ij")
+    want = np.column_stack([gammas.ravel(), betas.ravel(), grid.rescaled_bias.ravel()])
+    assert np.array_equal(np.loadtxt(main_path, delimiter=",", skiprows=1), want)
+    side = dict(ln.split(",") for ln in side_lines[1:])
+    assert {t: float(side[t]) for t in grid.reference_biases} == grid.reference_biases
+    assert (float(side["br_point_gamma"]), float(side["br_point_beta"])) == grid.br_point

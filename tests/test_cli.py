@@ -3,14 +3,20 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import random_dataset
-from pbrdr import estimate_one
-from pbrdr.cli import CsvSchema, load_csv_dataset, main, write_dataset_csv
+from conftest import random_dataset, write_csv
+from pbrdr import ConfigError, estimate_one
+from pbrdr.cli import CsvSchema, load_csv_dataset, main
+
+
+MANIFEST_KEYS = {
+    "command", "argv", "config", "seed", "version", "wall_time_s", "statuses", "output_files",
+}
 
 
 def run_cli(*args):
@@ -21,7 +27,7 @@ def run_cli(*args):
 def csv_path(tmp_path):
     data = random_dataset(7, n=120, p=4)
     path = tmp_path / "data.csv"
-    write_dataset_csv(data, path)
+    write_csv(data, path)
     return path, data
 
 
@@ -60,7 +66,7 @@ def test_estimate_bad_treatment_value(tmp_path):
 def test_estimate_ate_antisymmetry(csv_path, tmp_path):
     path, data = csv_path
     swapped = tmp_path / "swapped.csv"
-    write_dataset_csv(data.swap_treatment(), swapped)
+    write_csv(data.swap_treatment(), swapped)
     r1 = tmp_path / "r1.json"
     r2 = tmp_path / "r2.json"
     for csv_file, rep in ((path, r1), (swapped, r2)):
@@ -84,7 +90,7 @@ def test_estimate_estimator_failure_exit_code(tmp_path):
     a = np.array([0, 1] * 6, dtype=float)
     data = Dataset(rng.standard_normal(12), a, x)
     path = tmp_path / "wide.csv"
-    write_dataset_csv(data, path)
+    write_csv(data, path)
     proc = run_cli("estimate", "--csv", str(path), "--outcome", "y", "--treatment", "a",
                    "--estimator", "MLE")
     assert proc.returncode == 3
@@ -112,7 +118,7 @@ def test_na_policy(tmp_path):
     path.write_text("\n".join(rows) + "\n")
     data, cols = load_csv_dataset(path, CsvSchema("y", "a"))
     assert data.n == 13  # the NA row dropped
-    with pytest.raises(Exception) as err:
+    with pytest.raises(ConfigError) as err:
         load_csv_dataset(path, CsvSchema("y", "a", na_policy="error"))
     assert ":4:" in str(err.value)  # offending line number (header is line 1)
 
@@ -222,6 +228,8 @@ def test_csv_covariate_token_table(tmp_path, capsys, token, outcome):
         assert ":4: missing value" in capsys.readouterr().err
     elif outcome == "text":
         assert cols == ["x1"] and data.n == 14  # the text column is excluded
+        assert main(argv + ["--covariates", "x1,x2"]) == 2  # a named column must parse
+        assert ":4:" in capsys.readouterr().err
     else:
         assert cols == ["x1", "x2"] and data.n == 14 and data.x[2, 1] == 2.5
 
@@ -229,7 +237,7 @@ def test_csv_covariate_token_table(tmp_path, capsys, token, outcome):
 def test_csv_roundtrip_is_byte_identical(tmp_path):
     data = random_dataset(11, n=60, p=5)
     path = tmp_path / "rt.csv"
-    write_dataset_csv(data, path)
+    write_csv(data, path)
     back, cols = load_csv_dataset(path, CsvSchema("y", "a"))
     assert cols == [f"x{j}" for j in range(1, 6)]
     for got, want in ((back.y, data.y), (back.a, data.a), (back.x, data.x)):
@@ -272,6 +280,7 @@ def test_simulate_ten_row_roster_and_determinism(tmp_path):
     assert len(lines) == 11  # header + the ten-estimator roster (n > p, MLE present)
     # manifest lists every file in the output directory
     manifest = json.loads((out1 / "manifest.json").read_text())
+    assert set(manifest) == MANIFEST_KEYS
     listed = {Path(p).name for p in manifest["output_files"]}
     present = {p.name for p in out1.iterdir()}
     assert present <= listed | {"manifest.json"}
@@ -293,6 +302,27 @@ def test_simulate_bad_config(tmp_path):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("scenario, p", [("S1", 10), ("S2", 3)])
+def test_simulate_too_few_covariates_is_an_input_error(tmp_path, capsys, scenario, p):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(SIM_CONFIG.replace("S1", scenario).replace("p = 15", f"p = {p}"))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"scenario {scenario} requires p >=" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_undecodable_inputs_are_input_errors(tmp_path, capsys):
+    csv_file = tmp_path / "latin1.csv"
+    csv_file.write_bytes(b"y,a,x\xe9\n" + b"0.5,1,2\n0.5,0,3\n" * 6)
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(SIM_CONFIG.encode() + b"# r\xe9sum\xe9\n")
+    assert main(["estimate", "--csv", str(csv_file), "--outcome", "y", "--treatment", "a"]) == 2
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.count("codec can't decode") == 2
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------------------
 # bias-surface
 # ---------------------------------------------------------------------------
@@ -308,6 +338,7 @@ def test_bias_surface_deterministic(tmp_path):
     for name in ("fig1_surface.csv", "fig1_surface_references.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     manifest = json.loads((out1 / "fig1_manifest.json").read_text())
+    assert set(manifest) == MANIFEST_KEYS
     listed = {Path(p).name for p in manifest["output_files"]}
     assert {p.name for p in out1.iterdir()} <= listed
 
@@ -361,11 +392,22 @@ def test_bias_surface_non_finite_range(tmp_path, capsys, gamma_range):
 # ---------------------------------------------------------------------------
 
 
-def test_main_callable_directly(tmp_path, csv_path):
+def test_main_callable_directly(tmp_path, csv_path, monkeypatch):
     path, _ = csv_path
+    load = load_csv_dataset
+
+    def slow_load(*args):
+        time.sleep(0.25)
+        return load(*args)
+
+    monkeypatch.setattr("pbrdr.cli.load_csv_dataset", slow_load)
     code = main(["estimate", "--csv", str(path), "--outcome", "y", "--treatment", "a",
                  "--report", str(tmp_path / "rep.json")])
     assert code == 0
+    manifest = json.loads((tmp_path / "rep.manifest.json").read_text())
+    assert set(manifest) == MANIFEST_KEYS
+    assert {Path(p).name for p in manifest["output_files"]} == {"rep.json", "rep.manifest.json"}
+    assert manifest["wall_time_s"] >= 0.25  # timed from the start, CSV load included
 
 
 def test_estimate_self_consistency_coverage(tmp_path):
@@ -387,7 +429,7 @@ def test_estimate_self_consistency_coverage(tmp_path):
         data = draw_dataset(model, 500, 40, False, rng)
         path = tmp_path / f"cov{r}.csv"
         report = tmp_path / f"cov{r}.json"
-        write_dataset_csv(data, path)
+        write_csv(data, path)
         code = main(["estimate", "--csv", str(path), "--outcome", "y", "--treatment", "a",
                      "--target", "mu1", "--report", str(report)])
         assert code == 0

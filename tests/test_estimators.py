@@ -22,7 +22,6 @@ from pbrdr import (
     ate_estimate,
     dr_estimate,
     estimate_one,
-    estimate_pbr,
     estimate_suite,
     influence_values,
     iptw_estimate,
@@ -338,7 +337,7 @@ def test_estimate_one_raises(dataset):
 
 
 def test_pbr_carries_active_sets(dataset):
-    res = estimate_pbr(dataset)
+    res = estimate_one(dataset, "P-BR")
     assert res.fit.method == "P-BR"
     assert res.fit.gamma.active_set == tuple(
         j for j in range(1, dataset.p + 1) if res.fit.gamma.coef[j] != 0.0

@@ -14,7 +14,6 @@ from pbrdr import (
     ScenarioSpec,
     compute_metrics,
     gen_covariates,
-    parse_config,
     parse_config_text,
     run_monte_carlo,
     scenario1_model,
@@ -385,7 +384,10 @@ def test_config_missing_key():
 
 def test_shipped_configs_expand_to_the_experiment_cells():
     configs = Path(__file__).resolve().parents[1] / "configs"
-    parsed = {path.name: parse_config(path) for path in sorted(configs.glob("*.cfg"))}
+    parsed = {
+        path.name: parse_config_text(path.read_text(encoding="utf-8"))
+        for path in sorted(configs.glob("*.cfg"))
+    }
     grid = [
         (ScenarioSpec(s, 200, 40, corr, oc, pc, 500, 20260808), DEFAULT_ROSTER)
         for s in ("S1", "S2")
