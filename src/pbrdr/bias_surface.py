@@ -95,7 +95,9 @@ def rescale_bias(b):
 
 
 def _outcome_mean(x: np.ndarray, variant: str) -> np.ndarray:
-    return x**2 if variant == "fig1" else x**3 - x**2
+    # products, not ``x**3``: numpy's ``pow`` costs ~5x a multiply per value
+    x2 = x * x
+    return x2 if variant == "fig1" else x2 * x - x2
 
 
 def surface_dataset(dgp: SurfaceDgp) -> Dataset:
@@ -217,11 +219,12 @@ def export_surface(grid: SurfaceGrid, path) -> Tuple[Path, Path]:
     the bias-reduced slope pair. Returns both paths.
     """
     path = Path(path)
+    betas = [f"{bs:.17g}" for bs in grid.beta_slopes.tolist()]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("gamma_slope,beta_slope,rescaled_bias\n")
-        for i, gs in enumerate(grid.gamma_slopes):
-            for j, bs in enumerate(grid.beta_slopes):
-                fh.write(f"{gs:.17g},{bs:.17g},{grid.rescaled_bias[i, j]:.17g}\n")
+        for gs, row in zip(grid.gamma_slopes.tolist(), grid.rescaled_bias.tolist()):
+            prefix = f"{gs:.17g},"  # each axis value is formatted once
+            fh.write("".join(f"{prefix}{bs},{v:.17g}\n" for bs, v in zip(betas, row)))
     sidecar = _sidecar_path(path)
     with open(sidecar, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("name,value\n")

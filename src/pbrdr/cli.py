@@ -8,7 +8,10 @@ writes a manifest listing them and itself (even on partial failure), with
 the same keys for every command: ``simulate`` writes ``<out>/manifest.json``,
 ``bias-surface`` writes ``<out>/<variant>_manifest.json`` beside its surface
 files, and ``estimate`` writes ``<report stem>.manifest.json`` beside the
-report, so runs sharing an output directory keep separate manifests.
+report, so runs sharing an output directory keep separate manifests. A
+manifest records the arguments the command parsed and, in ``stage_s``, the
+wall time of each stage: ``load``, ``fit`` and ``write`` for ``estimate``,
+``evaluate`` and ``export`` for ``bias-surface``, one per cell for ``simulate``.
 """
 
 from __future__ import annotations
@@ -20,7 +23,9 @@ import math
 import re
 import sys
 import time
+import warnings
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -35,6 +40,7 @@ from .estimators import ALL_TAGS, ate_estimate, estimate_one
 from .simulation import parse_config_text, run_monte_carlo
 
 _NA_TOKENS = {"", "na", "nan", "null"}
+_TREATMENT_CODES = {"0": 0.0, "1": 1.0}
 
 
 @dataclass
@@ -65,23 +71,11 @@ def _is_missing(token: str) -> bool:
     return token.strip().lower() in _NA_TOKENS
 
 
-def load_csv_dataset(path, schema: CsvSchema) -> Tuple[Dataset, List[str]]:
-    """Read a UTF-8 CSV with a header row into a :class:`Dataset`.
-
-    Numbers are parsed as 64-bit floats; the treatment column accepts only
-    the tokens ``0`` and ``1`` (a value like ``2`` is reported with its line
-    number). Returns the dataset and the covariate column names used. Every
-    input it rejects raises :class:`ConfigError`.
-    """
-    path = Path(path)
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
-    except (OSError, UnicodeError, csv.Error) as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
-    if not rows:
-        raise ConfigError(f"{path}: empty file")
-    header = [h.strip() for h in rows.pop(0)]
+def _check_header(
+    path: Path, header: List[str], schema: CsvSchema
+) -> Tuple[Dict[str, int], List[str]]:
+    """Check the stripped header against ``schema``; return each name's
+    position and the candidate covariate columns."""
     repeated = [h for h, k in Counter(header).items() if k > 1]
     if repeated:
         raise ConfigError(f"{path}: column name {repeated[0]!r} repeats in header {header}")
@@ -96,13 +90,105 @@ def load_csv_dataset(path, schema: CsvSchema) -> Tuple[Dataset, List[str]]:
                 raise ConfigError(
                     f"{path}: covariate column {col!r} clashes with outcome/treatment"
                 )
-
-    idx = {name: j for j, name in enumerate(header)}
     candidates = (
-        schema.covariate_cols
+        list(schema.covariate_cols)
         if schema.covariate_cols is not None
         else [h for h in header if h not in (schema.outcome_col, schema.treatment_col)]
     )
+    return {name: j for j, name in enumerate(header)}, candidates
+
+
+def load_csv_dataset(path, schema: CsvSchema) -> Tuple[Dataset, List[str]]:
+    """Read a UTF-8 CSV with a header row into a :class:`Dataset`.
+
+    Numbers are parsed as 64-bit floats; the treatment column accepts only
+    the tokens ``0`` and ``1`` (a value like ``2`` is reported with its line
+    number). Returns the dataset and the covariate column names used. Every
+    input it rejects raises :class:`ConfigError`.
+
+    A clean all-numeric file is parsed by numpy's C reader; every other file
+    goes through the validating reader, which alone builds the error
+    messages. Both give the same dataset for a file the C reader takes.
+    """
+    path = Path(path)
+    loaded = _load_clean_csv(path, schema)
+    return loaded if loaded is not None else _load_csv_rows(path, schema)
+
+
+def _treatment_token(token: str) -> float:
+    value = _TREATMENT_CODES.get(token.strip())
+    if value is None:
+        raise ValueError(f"treatment token {token!r} is not 0 or 1")
+    return value
+
+
+def _load_clean_csv(path: Path, schema: CsvSchema) -> Optional[Tuple[Dataset, List[str]]]:
+    """The dataset of a clean file by numpy's C reader, or ``None`` for any
+    file it cannot take exactly as :func:`_load_csv_rows` would.
+
+    Clean means: UTF-8; a header line with no quote that passes the header
+    checks; one record per line, with as many fields as the header names;
+    every value a finite number; treatment tokens ``0``/``1``; at least 10
+    rows. Where the two readers part, the file is not clean: ``loadtxt``
+    skips blank lines, joins a quoted newline and reads a bare carriage
+    return as a line end (so its row count must equal the line count, and
+    every ``\\r`` must end a CRLF), and it accepts a NUL and any field length,
+    which ``csv`` rejects on Python 3.10 and past its field limit.
+    """
+    try:
+        raw = path.read_bytes()
+    except OSError:
+        return None
+    ends = np.flatnonzero(np.frombuffer(raw, dtype=np.uint8) == ord("\n"))
+    n_lines = ends.size + (not raw.endswith(b"\n")) - 1  # after the header
+    head = raw[: ends[0]] if ends.size else raw
+    if (
+        n_lines < 10
+        or b'"' in head
+        or b"\0" in raw
+        or (b"\r" in raw and raw.count(b"\r") != raw.count(b"\r\n"))
+        or np.diff(ends, prepend=-1, append=len(raw)).max() - 1 > csv.field_size_limit()
+    ):
+        return None
+    try:
+        header = [h.strip() for h in head.decode("utf-8").removesuffix("\r").split(",")]
+        idx, cov_cols = _check_header(path, header, schema)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(
+                path,
+                delimiter=",",
+                skiprows=1,
+                comments=None,
+                quotechar='"',
+                ndmin=2,
+                encoding="utf-8",
+                converters={idx[schema.treatment_col]: _treatment_token},
+            )
+    except (ConfigError, ValueError, Warning):  # UnicodeError is a ValueError
+        return None
+    if table.shape != (n_lines, len(header)) or not np.isfinite(table).all():
+        return None
+    # C order, as the validating reader builds it: BLAS rounds the fits'
+    # products differently on a Fortran-ordered matrix
+    x = table.take([idx[c] for c in cov_cols], axis=1)
+    x.flags.writeable = False  # handed over: the dataset need not copy it
+    data = Dataset(table[:, idx[schema.outcome_col]], table[:, idx[schema.treatment_col]], x)
+    return data, cov_cols
+
+
+def _load_csv_rows(path: Path, schema: CsvSchema) -> Tuple[Dataset, List[str]]:
+    """The validating reader behind :func:`load_csv_dataset`: ``csv`` rows,
+    NA handling, text columns and every error message."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, UnicodeError, csv.Error) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    if not rows:
+        raise ConfigError(f"{path}: empty file")
+    header = [h.strip() for h in rows.pop(0)]
+    idx, candidates = _check_header(path, header, schema)
     # Parse each candidate covariate token once, in place: a number becomes a
     # float and a missing value None; a token that is not a number stays text,
     # which excludes its column when the covariates are auto-detected. Fields
@@ -178,18 +264,31 @@ def _write_json(path: Path, payload: Dict) -> None:
         fh.write("\n")
 
 
-def _write_manifest(path, command, config, t0, statuses, outputs, seed=None) -> None:
-    """Write the manifest of one run to ``path``: its inputs, statuses, the
-    files it wrote (the manifest included) and the wall time since ``t0``."""
+@contextmanager
+def _stage(stage_s: Dict[str, float], name: str):
+    """Record the wall time of the ``with`` body in ``stage_s[name]``, also
+    when the body raises."""
+    t = time.perf_counter()
+    try:
+        yield
+    finally:
+        stage_s[name] = time.perf_counter() - t
+
+
+def _write_manifest(path, args, config, t0, stage_s, statuses, outputs, seed=None) -> None:
+    """Write the manifest of one run to ``path``: its command and arguments,
+    inputs, statuses, the files it wrote (the manifest included), the wall
+    time since ``t0`` and the wall time of each stage."""
     _write_json(
         path,
         {
-            "command": command,
-            "argv": sys.argv[1:],
+            "command": args.command,
+            "argv": args.argv,
             "config": config,
             "seed": seed,
             "version": __version__,
             "wall_time_s": time.perf_counter() - t0,
+            "stage_s": stage_s,
             "statuses": statuses,
             "output_files": sorted({*outputs, str(path)}),
         },
@@ -224,22 +323,25 @@ def cmd_estimate(args) -> int:
         covariate_cols=args.covariates.split(",") if args.covariates else None,
         na_policy=args.na_policy,
     )
-    data, cov_cols = load_csv_dataset(args.csv, schema)
-    if args.target == "ate":
-        res = ate_estimate(data, args.estimator)
-        payload = {
-            "target": "ate",
-            "estimator": args.estimator,
-            "estimate": res.ate,
-            "se": res.se,
-            "ci_lower": res.ci[0],
-            "ci_upper": res.ci[1],
-            "arm1": _result_payload(res.arm1),
-            "arm0": _result_payload(res.arm0),
-        }
-    else:
-        work = data if args.target == "mu1" else data.swap_treatment()
-        payload = dict(_result_payload(estimate_one(work, args.estimator)), target=args.target)
+    stage_s: Dict[str, float] = {}
+    with _stage(stage_s, "load"):
+        data, cov_cols = load_csv_dataset(args.csv, schema)
+    with _stage(stage_s, "fit"):
+        if args.target == "ate":
+            res = ate_estimate(data, args.estimator)
+            payload = {
+                "target": "ate",
+                "estimator": args.estimator,
+                "estimate": res.ate,
+                "se": res.se,
+                "ci_lower": res.ci[0],
+                "ci_upper": res.ci[1],
+                "arm1": _result_payload(res.arm1),
+                "arm0": _result_payload(res.arm0),
+            }
+        else:
+            work = data if args.target == "mu1" else data.swap_treatment()
+            payload = dict(_result_payload(estimate_one(work, args.estimator)), target=args.target)
     print(f"target      : {args.target}  (estimator {args.estimator})")
     print(f"estimate    : {payload['estimate']:.6g}")
     print(f"se          : {payload['se']:.6g}{'  (naive)' if payload.get('se_is_naive') else ''}")
@@ -253,10 +355,11 @@ def cmd_estimate(args) -> int:
     payload["n_treated"] = data.n_treated
     payload["covariates"] = cov_cols
     report = Path(args.report) if args.report else Path(args.csv).with_suffix(".estimate.json")
-    _write_json(report, payload)
+    with _stage(stage_s, "write"):
+        _write_json(report, payload)
     _write_manifest(
         report.with_name(report.stem + ".manifest.json"),
-        "estimate",
+        args,
         {
             "csv": str(args.csv),
             "outcome": args.outcome,
@@ -267,6 +370,7 @@ def cmd_estimate(args) -> int:
             "na_policy": args.na_policy,
         },
         t0,
+        stage_s,
         {args.estimator: "ok"},
         [str(report)],
     )
@@ -289,6 +393,7 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     n_jobs = max(1, args.threads)
+    stage_s: Dict[str, float] = {}
     statuses: Dict = {}
     outputs: List[str] = []
     t0 = time.perf_counter()
@@ -296,7 +401,8 @@ def cmd_simulate(args) -> int:
         for spec, tags in cells:
             name = spec.cell_name()
             try:
-                table = run_monte_carlo(spec, tags, n_jobs=n_jobs)
+                with _stage(stage_s, name):
+                    table = run_monte_carlo(spec, tags, n_jobs=n_jobs)
             except PbrdrError as exc:
                 statuses[name] = {"error": type(exc).__name__, "message": str(exc)}
                 continue
@@ -311,9 +417,10 @@ def cmd_simulate(args) -> int:
         manifest = out_dir / "manifest.json"
         _write_manifest(
             manifest,
-            "simulate",
+            args,
             {"path": str(args.config), "text": text, "threads": n_jobs},
             t0,
+            stage_s,
             statuses,
             outputs,
             seed=cells[0][0].seed,  # every cell of a config shares its seed
@@ -351,12 +458,15 @@ def cmd_bias_surface(args) -> int:
     dgp = SurfaceDgp(args.variant, args.n_large, args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    stage_s: Dict[str, float] = {}
     statuses: Dict = {}
     outputs: List[str] = []
     t0 = time.perf_counter()
     try:
-        grid = evaluate_surface(dgp, gamma_grid, beta_grid)
-        main_path, sidecar = export_surface(grid, out_dir / f"{args.variant}_surface.csv")
+        with _stage(stage_s, "evaluate"):
+            grid = evaluate_surface(dgp, gamma_grid, beta_grid)
+        with _stage(stage_s, "export"):
+            main_path, sidecar = export_surface(grid, out_dir / f"{args.variant}_surface.csv")
         outputs += [str(main_path), str(sidecar)]
         statuses = {
             "references": grid.reference_biases,
@@ -371,7 +481,7 @@ def cmd_bias_surface(args) -> int:
         manifest = out_dir / f"{args.variant}_manifest.json"
         _write_manifest(
             manifest,
-            "bias-surface",
+            args,
             {
                 "variant": args.variant,
                 "gamma_range": args.gamma_range,
@@ -379,6 +489,7 @@ def cmd_bias_surface(args) -> int:
                 "n_large": args.n_large,
             },
             t0,
+            stage_s,
             statuses,
             outputs,
             seed=args.seed,
@@ -438,8 +549,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
+    args.argv = argv  # the manifests record the arguments this call parsed
     try:
         return args.func(args)
     except ConfigError as exc:

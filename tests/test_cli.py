@@ -8,14 +8,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import random_dataset, write_csv
 from pbrdr import ConfigError, estimate_one
+from pbrdr import cli
 from pbrdr.cli import CsvSchema, load_csv_dataset, main
 
 
 MANIFEST_KEYS = {
-    "command", "argv", "config", "seed", "version", "wall_time_s", "statuses", "output_files",
+    "command", "argv", "config", "seed", "version", "wall_time_s", "stage_s", "statuses",
+    "output_files",
 }
 
 
@@ -245,6 +249,131 @@ def test_csv_roundtrip_is_byte_identical(tmp_path):
         assert got.tobytes() == want.tobytes()
 
 
+# Inputs for the two CSV readers: numpy's C reader (the fast path) and the
+# validating reader it falls back to. Each is a file's bytes, made by editing
+# the 14 clean rows of ``_ROWS`` (header first).
+_rng = np.random.default_rng(5)
+_ROWS = ["y,a,x1,x2"] + [
+    f"{_rng.normal():.17g},{i % 2},{_rng.normal():.17g},{_rng.normal():.17g}" for i in range(14)
+]
+
+
+def _text(rows, end="\n", tail="\n"):
+    return (end.join(rows) + tail).encode()
+
+
+def _with_field(row, col, token):
+    rows = list(_ROWS)
+    fields = rows[row].split(",")
+    fields[col] = token
+    rows[row] = ",".join(fields)
+    return _text(rows)
+
+
+AGREEMENT_INPUTS = {
+    "clean": _text(_ROWS),
+    "underscore-number": _with_field(4, 3, "1_000"),
+    "quoted-number": _with_field(4, 3, '"1.5"'),
+    "hash-in-field": _with_field(4, 3, "1#2"),
+    "hash-leading-field": _with_field(4, 2, "#2"),
+    "space-padded": _with_field(4, 3, "  1.5 "),
+    "tab-padded": _with_field(4, 0, "\t1.5\t"),
+    "crlf": _text(_ROWS, end="\r\n", tail="\r\n"),
+    "bare-cr": _with_field(4, 2, "1.5\r"),
+    "mixed-line-endings": _with_field(4, 3, "1.5\r"),
+    "cr-before-crlf": _with_field(4, 3, "1.5\r\r"),
+    "blank-line": _text(_ROWS[:5] + [""] + _ROWS[5:]),
+    "no-final-newline": _text(_ROWS, tail=""),
+    "trailing-blank-line": _text(_ROWS, tail="\n\n"),
+    "treatment-1.0": _with_field(4, 1, "1.0"),
+    "treatment-padded": _with_field(4, 1, " 1 "),
+    "treatment-1e0": _with_field(4, 1, "1e0"),
+    "treatment-quoted": _with_field(4, 1, '"0"'),
+    "nan": _with_field(4, 3, "nan"),
+    "-nan": _with_field(4, 3, "-nan"),
+    "inf": _with_field(4, 2, "inf"),
+    "NA-covariate": _with_field(4, 3, "NA"),
+    "NA-outcome": _with_field(4, 0, "NA"),
+    "empty-field": _with_field(4, 2, ""),
+    "extra-field": _with_field(4, 3, "0.5,0.5"),
+    "missing-field": _text(_ROWS[:4] + [_ROWS[4].rsplit(",", 1)[0]] + _ROWS[5:]),
+    "extra-field-every-row": _text(_ROWS[:1] + [r + ",0.5" for r in _ROWS[1:]]),
+    "bom": b"\xef\xbb\xbf" + _text(_ROWS),
+    "bom-before-covariate": b"\xef\xbb\xbf" + _text(
+        [",".join(f[2:3] + f[:2] + f[3:]) for f in (r.split(",") for r in _ROWS)]
+    ),
+    "non-utf8": _with_field(4, 3, "1.5").replace(b"1.5", b"1.5\xff"),
+    "quoted-newline": _with_field(4, 3, '"1.5\n"'),
+    "nul": _with_field(4, 3, "1.5\x00"),
+    "nul-in-header": _with_field(0, 3, "x2\x00"),
+    "quoted-header": _with_field(0, 3, '"x2"'),
+    "quoted-comma-in-header": _with_field(0, 2, '"x1,x2"'),
+    "over-field-limit": _with_field(4, 3, "0" * 200_000 + "1"),
+    "header-only": _text(_ROWS[:1]),
+    "nine-rows": _text(_ROWS[:10]),
+}
+
+# the inputs numpy's C reader takes; every other one falls back
+C_READER_INPUTS = {
+    "clean", "quoted-number", "space-padded", "tab-padded", "crlf", "no-final-newline",
+    "treatment-padded", "treatment-quoted", "bom-before-covariate", "mixed-line-endings",
+}
+
+
+def _load_outcome(load, path, schema):
+    try:
+        data, cols = load(path, schema)
+    except ConfigError as exc:
+        return "error", str(exc)
+    arrays = (data.y, data.a, data.x)
+    return cols, [(v.shape, v.strides, v.tobytes()) for v in arrays]
+
+
+@pytest.mark.parametrize("case", sorted(AGREEMENT_INPUTS))
+def test_c_reader_agrees_with_the_validating_reader(tmp_path, case, capsys, monkeypatch):
+    path = tmp_path / "in.csv"
+    path.write_bytes(AGREEMENT_INPUTS[case])
+    for covariates in (None, ["x2", "x1"]):
+        for na_policy in ("drop_rows", "error"):
+            schema = CsvSchema("y", "a", covariates, na_policy)
+            fast = cli._load_clean_csv(path, schema)
+            if covariates is None and na_policy == "drop_rows":
+                assert (fast is not None) == (case in C_READER_INPUTS)
+            want = _load_outcome(cli._load_csv_rows, path, schema)
+            assert _load_outcome(load_csv_dataset, path, schema) == want
+    # and through the command: the same exit code, messages and report
+    argv = ["estimate", "--csv", str(path), "--outcome", "y", "--treatment", "a",
+            "--estimator", "OR-OLS"]
+    runs = []
+    for reader in (cli._load_clean_csv, lambda path, schema: None):
+        monkeypatch.setattr(cli, "_load_clean_csv", reader)
+        report = tmp_path / f"rep{len(runs)}.json"
+        code = main(argv + ["--report", str(report)])
+        out = capsys.readouterr()
+        runs.append((code, out.err, report.read_text() if report.exists() else None))
+    assert runs[0] == runs[1]
+
+
+@given(
+    edits=st.lists(
+        st.tuples(st.integers(0, 10_000), st.sampled_from(["insert", "delete", "replace"]),
+                  st.sampled_from(list('01,."\n\r e-+#\t_\xa0') + ["\r\n", '""', " ", "nan"])),
+        min_size=1, max_size=3,
+    )
+)
+def test_c_reader_agrees_on_edited_files(tmp_path_factory, edits):
+    text = "\n".join(_ROWS[:12]) + "\n"
+    for pos, op, token in edits:
+        i = pos % (len(text) + 1)
+        text = text[:i] + ("" if op == "delete" else token) + text[i + (op != "insert"):]
+    path = tmp_path_factory.mktemp("edited") / "in.csv"
+    path.write_bytes(text.encode())
+    schema = CsvSchema("y", "a")
+    assert _load_outcome(load_csv_dataset, path, schema) == _load_outcome(
+        cli._load_csv_rows, path, schema
+    )
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -408,6 +537,44 @@ def test_main_callable_directly(tmp_path, csv_path, monkeypatch):
     assert set(manifest) == MANIFEST_KEYS
     assert {Path(p).name for p in manifest["output_files"]} == {"rep.json", "rep.manifest.json"}
     assert manifest["wall_time_s"] >= 0.25  # timed from the start, CSV load included
+
+
+def test_manifests_record_the_parsed_argv_and_stage_times(tmp_path, csv_path, monkeypatch):
+    # the host process's own arguments must not leak into the manifest
+    monkeypatch.setattr(sys, "argv", ["host", "--host-flag"])
+    path, _ = csv_path
+    argv = ["estimate", "--csv", str(path), "--outcome", "y", "--treatment", "a",
+            "--target", "ate", "--report", str(tmp_path / "rep.json")]
+    assert main(argv) == 0
+    manifest = json.loads((tmp_path / "rep.manifest.json").read_text())
+    assert manifest["argv"] == argv
+    assert set(manifest["stage_s"]) == {"load", "fit", "write"}
+    assert sum(manifest["stage_s"].values()) <= manifest["wall_time_s"]
+
+    argv = ["bias-surface", "--variant", "fig1", "--gamma-range", "0:1:0.5",
+            "--beta-range", "-2:0:1", "--n-large", "2000", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    manifest = json.loads((tmp_path / "fig1_manifest.json").read_text())
+    assert manifest["argv"] == argv
+    assert set(manifest["stage_s"]) == {"evaluate", "export"}
+
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(SIM_CONFIG.replace("reps = 6", "reps = 2") + "estimators = P-BR\n")
+    argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")]
+    assert main(argv) == 0
+    manifest = json.loads((tmp_path / "sim" / "manifest.json").read_text())
+    assert manifest["argv"] == argv
+    assert set(manifest["stage_s"]) == {"S1_uncorr_ORcorrect_PScorrect_n150_p15"}
+    assert all(t >= 0 for t in manifest["stage_s"].values())
+
+
+def test_main_without_argv_records_sys_argv(tmp_path, csv_path, monkeypatch):
+    path, _ = csv_path
+    argv = ["estimate", "--csv", str(path), "--outcome", "y", "--treatment", "a",
+            "--report", str(tmp_path / "rep.json")]
+    monkeypatch.setattr(sys, "argv", ["pbrdr", *argv])
+    assert main() == 0
+    assert json.loads((tmp_path / "rep.manifest.json").read_text())["argv"] == argv
 
 
 def test_estimate_self_consistency_coverage(tmp_path):
