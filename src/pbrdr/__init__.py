@@ -11,7 +11,6 @@ from .errors import (
     DegenerateData,
     DegenerateWeights,
     DimensionError,
-    DomainError,
     NonConvergence,
     PbrdrError,
     PositivityViolation,
@@ -20,7 +19,6 @@ from .errors import (
     UnboundedObjective,
 )
 from .estimators import (
-    ALL_TAGS,
     DEFAULT_ROSTER,
     AteResult,
     EstimateResult,
@@ -58,7 +56,6 @@ from .solvers import (
     fit_logistic_mle,
     fit_ols,
     fit_weighted_outcome_lasso,
-    normal_quantile,
     post_lasso_refit,
 )
 from .bias_surface import (

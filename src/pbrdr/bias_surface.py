@@ -207,10 +207,6 @@ def evaluate_surface(dgp: SurfaceDgp, gamma_grid, beta_grid) -> SurfaceGrid:
 # ---------------------------------------------------------------------------
 
 
-def _sidecar_path(path: Path) -> Path:
-    return path.with_name(path.stem + "_references" + path.suffix)
-
-
 def export_surface(grid: SurfaceGrid, path) -> Tuple[Path, Path]:
     """Write the surface as a long-format CSV plus a reference sidecar.
 
@@ -225,7 +221,7 @@ def export_surface(grid: SurfaceGrid, path) -> Tuple[Path, Path]:
         for gs, row in zip(grid.gamma_slopes.tolist(), grid.rescaled_bias.tolist()):
             prefix = f"{gs:.17g},"  # each axis value is formatted once
             fh.write("".join(f"{prefix}{bs},{v:.17g}\n" for bs, v in zip(betas, row)))
-    sidecar = _sidecar_path(path)
+    sidecar = path.with_name(path.stem + "_references" + path.suffix)
     with open(sidecar, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("name,value\n")
         for tag in REFERENCE_TAGS:

@@ -1,7 +1,7 @@
 """Command-line interface: estimate from a CSV, run simulation sweeps, export bias surfaces.
 
 Exit codes are stable across subcommands: 0 on success, 2 on input errors
-(CSV schema, config file, grid specification; every one a
+(CSV schema, config file, grid specification, unwritable output; each a
 :class:`~pbrdr.errors.ConfigError`), 3 on numerical/solver failures (any
 other :class:`~pbrdr.errors.PbrdrError`). Every run that writes files also
 writes a manifest listing them and itself (even on partial failure), with
@@ -36,7 +36,7 @@ from . import __version__
 from .bias_surface import SurfaceDgp, evaluate_surface, export_surface
 from .dataset import Dataset
 from .errors import ConfigError, PbrdrError
-from .estimators import ALL_TAGS, ate_estimate, estimate_one
+from .estimators import DEFAULT_ROSTER, ate_estimate, estimate_one
 from .simulation import parse_config_text, run_monte_carlo
 
 _NA_TOKENS = {"", "na", "nan", "null"}
@@ -99,7 +99,7 @@ def _check_header(
 
 
 def load_csv_dataset(path, schema: CsvSchema) -> Tuple[Dataset, List[str]]:
-    """Read a UTF-8 CSV with a header row into a :class:`Dataset`.
+    """Read a UTF-8 CSV (BOM or not) with a header row into a :class:`Dataset`.
 
     Numbers are parsed as 64-bit floats; the treatment column accepts only
     the tokens ``0`` and ``1`` (a value like ``2`` is reported with its line
@@ -151,7 +151,7 @@ def _load_clean_csv(path: Path, schema: CsvSchema) -> Optional[Tuple[Dataset, Li
     ):
         return None
     try:
-        header = [h.strip() for h in head.decode("utf-8").removesuffix("\r").split(",")]
+        header = [h.strip() for h in head.decode("utf-8-sig").removesuffix("\r").split(",")]
         idx, cov_cols = _check_header(path, header, schema)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -162,15 +162,13 @@ def _load_clean_csv(path: Path, schema: CsvSchema) -> Optional[Tuple[Dataset, Li
                 comments=None,
                 quotechar='"',
                 ndmin=2,
-                encoding="utf-8",
+                encoding="utf-8-sig",
                 converters={idx[schema.treatment_col]: _treatment_token},
             )
     except (ConfigError, ValueError, Warning):  # UnicodeError is a ValueError
         return None
     if table.shape != (n_lines, len(header)) or not np.isfinite(table).all():
         return None
-    # C order, as the validating reader builds it: BLAS rounds the fits'
-    # products differently on a Fortran-ordered matrix
     x = table.take([idx[c] for c in cov_cols], axis=1)
     x.flags.writeable = False  # handed over: the dataset need not copy it
     data = Dataset(table[:, idx[schema.outcome_col]], table[:, idx[schema.treatment_col]], x)
@@ -181,7 +179,7 @@ def _load_csv_rows(path: Path, schema: CsvSchema) -> Tuple[Dataset, List[str]]:
     """The validating reader behind :func:`load_csv_dataset`: ``csv`` rows,
     NA handling, text columns and every error message."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             rows = list(csv.reader(fh))
     except (OSError, UnicodeError, csv.Error) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
@@ -258,8 +256,17 @@ def _load_csv_rows(path: Path, schema: CsvSchema) -> Tuple[Dataset, List[str]]:
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def _writing(path):
+    """Raise an ``OSError`` of the ``with`` body as a ``ConfigError`` naming ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_json(path: Path, payload: Dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _writing(path), open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -323,6 +330,9 @@ def cmd_estimate(args) -> int:
         covariate_cols=args.covariates.split(",") if args.covariates else None,
         na_policy=args.na_policy,
     )
+    report = Path(args.report) if args.report else Path(args.csv).with_suffix(".estimate.json")
+    if args.report and not report.parent.is_dir():  # the default sits beside the CSV
+        raise ConfigError(f"cannot write {report}: no directory {report.parent}")
     stage_s: Dict[str, float] = {}
     with _stage(stage_s, "load"):
         data, cov_cols = load_csv_dataset(args.csv, schema)
@@ -354,7 +364,6 @@ def cmd_estimate(args) -> int:
     payload["n"] = data.n
     payload["n_treated"] = data.n_treated
     payload["covariates"] = cov_cols
-    report = Path(args.report) if args.report else Path(args.csv).with_suffix(".estimate.json")
     with _stage(stage_s, "write"):
         _write_json(report, payload)
     _write_manifest(
@@ -391,7 +400,8 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
     cells = parse_config_text(text)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
     n_jobs = max(1, args.threads)
     stage_s: Dict[str, float] = {}
     statuses: Dict = {}
@@ -407,7 +417,8 @@ def cmd_simulate(args) -> int:
                 statuses[name] = {"error": type(exc).__name__, "message": str(exc)}
                 continue
             out_path = out_dir / f"{name}.csv"
-            table.write_csv(out_path)
+            with _writing(out_path):
+                table.write_csv(out_path)
             outputs.append(str(out_path))
             statuses[name] = {
                 tag: {"n_failed": row.n_failed} for tag, row in sorted(table.rows.items())
@@ -457,7 +468,8 @@ def cmd_bias_surface(args) -> int:
     beta_grid = _parse_range(args.beta_range, "--beta-range")
     dgp = SurfaceDgp(args.variant, args.n_large, args.seed)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
     stage_s: Dict[str, float] = {}
     statuses: Dict = {}
     outputs: List[str] = []
@@ -465,7 +477,7 @@ def cmd_bias_surface(args) -> int:
     try:
         with _stage(stage_s, "evaluate"):
             grid = evaluate_surface(dgp, gamma_grid, beta_grid)
-        with _stage(stage_s, "export"):
+        with _stage(stage_s, "export"), _writing(out_dir):
             main_path, sidecar = export_surface(grid, out_dir / f"{args.variant}_surface.csv")
         outputs += [str(main_path), str(sidecar)]
         statuses = {
@@ -523,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated covariate columns (default: all remaining numeric columns)",
     )
-    est.add_argument("--estimator", default="P-BR", choices=list(ALL_TAGS))
+    est.add_argument("--estimator", default="P-BR", choices=list(DEFAULT_ROSTER))
     est.add_argument("--target", default="mu1", choices=["mu1", "mu0", "ate"])
     est.add_argument("--na-policy", default="drop_rows", choices=["drop_rows", "error"])
     est.add_argument("--report", default=None, help="report JSON path (default: <csv>.estimate.json)")

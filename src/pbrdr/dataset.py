@@ -8,18 +8,19 @@ import numpy as np
 
 
 def _read_only(source, vector: bool) -> np.ndarray:
-    """``source`` as a read-only float64 array, copied only when the caller could
-    still write to its memory. A vector is raveled; a 1-d covariate matrix
-    becomes one column."""
+    """``source`` as a read-only C-ordered float64 array, copied only when the
+    caller could still write to its memory or it is in another order (BLAS
+    rounds the fits' products differently on a Fortran-ordered matrix). A
+    vector is raveled; a 1-d covariate matrix becomes one column."""
     arr = np.asarray(source, dtype=np.float64)
     if vector and arr.ndim != 1:
         arr = arr.ravel()
     elif not vector and arr.ndim == 1:
         arr = arr.reshape(-1, 1)
-    if arr.flags.writeable:
-        if isinstance(source, np.ndarray) and np.may_share_memory(arr, source):
-            arr = arr.copy()
-        arr.flags.writeable = False
+    if arr.flags.writeable and isinstance(source, np.ndarray) and np.may_share_memory(arr, source):
+        arr = arr.copy()
+    arr = np.ascontiguousarray(arr)
+    arr.flags.writeable = False
     return arr
 
 

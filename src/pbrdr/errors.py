@@ -45,7 +45,3 @@ class ConfigError(PbrdrError):
 
 class DimensionError(ConfigError):
     """Covariate dimension is incompatible with the requested data-generating process."""
-
-
-class DomainError(PbrdrError):
-    """Argument outside the mathematical domain of the function."""

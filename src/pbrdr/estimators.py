@@ -57,18 +57,15 @@ DEFAULT_ROSTER: Tuple[str, ...] = (
     "Pop-IPTW-MLE",
     "Post-LASSO",
 )
-# Available on request but not part of the default roster.
-EXTRA_TAGS: Tuple[str, ...] = ("IPTW-LASSO", "IPTW-MLE")
-ALL_TAGS: Tuple[str, ...] = tuple(sorted(DEFAULT_ROSTER + EXTRA_TAGS))
 
 
 def _resolve_tags(tags: Optional[Sequence[str]]) -> Tuple[str, ...]:
     """The requested estimator tags (default: the roster); raises
-    :class:`ConfigError` naming every tag outside :data:`ALL_TAGS`."""
+    :class:`ConfigError` naming every tag outside :data:`DEFAULT_ROSTER`."""
     tags = DEFAULT_ROSTER if tags is None else tuple(tags)
-    unknown = [t for t in tags if t not in ALL_TAGS]
+    unknown = [t for t in tags if t not in DEFAULT_ROSTER]
     if unknown:
-        raise ConfigError(f"unknown estimator tag(s) {unknown}; valid tags: {', '.join(ALL_TAGS)}")
+        raise ConfigError(f"unknown estimator tag(s) {unknown}; valid tags: {', '.join(DEFAULT_ROSTER)}")
     return tags
 
 
@@ -258,8 +255,6 @@ def _suite_builders(data: Dataset, lam_gamma: float, lam_beta: float):
     return {
         "OR-OLS": lambda: or_estimate(data, b_ols(), "OR-OLS"),
         "OR-LASSO": lambda: or_estimate(data, b_lasso(), "OR-LASSO"),
-        "IPTW-MLE": lambda: iptw_estimate(data, g_mle(), "IPTW-MLE"),
-        "IPTW-LASSO": lambda: iptw_estimate(data, g_lasso(), "IPTW-LASSO"),
         "Pop-IPTW-MLE": lambda: pop_iptw_estimate(data, g_mle(), "Pop-IPTW-MLE"),
         "Pop-IPTW-LASSO": lambda: pop_iptw_estimate(data, g_lasso(), "Pop-IPTW-LASSO"),
         "MLE": lambda: dr_estimate(data, NuisanceFit(g_mle(), b_ols(), "MLE")),

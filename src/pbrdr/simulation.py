@@ -311,15 +311,10 @@ def _replicate(args: Tuple[ScenarioSpec, Tuple[str, ...], int]):
     model = build_model(spec)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=(r,)))
     data = draw_dataset(model, spec.n, spec.p, spec.correlated, rng)
-    suite = estimate_suite(data, tags)
-    out = {}
-    for tag, entry in suite.items():
-        if entry.ok:
-            res = entry.result
-            out[tag] = ("ok", res.mu_hat, res.se, res.ci[0], res.ci[1])
-        else:
-            out[tag] = ("error", entry.error)
-    return r, out
+    return {
+        tag: ("ok", e.result.mu_hat, e.result.se, *e.result.ci) if e.ok else ("error", e.error)
+        for tag, e in estimate_suite(data, tags).items()
+    }
 
 
 def run_monte_carlo(
@@ -340,34 +335,21 @@ def run_monte_carlo(
     jobs = [(spec, tags, r) for r in range(spec.reps)]
     if n_jobs > 1:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+            # ``map`` yields the results in job order
             results = list(pool.map(_replicate, jobs, chunksize=max(1, spec.reps // (8 * n_jobs))))
     else:
         results = [_replicate(j) for j in jobs]
-    results.sort(key=lambda item: item[0])
-
-    collected: Dict[str, Dict[str, list]] = {
-        tag: {"mu": [], "se": [], "hit": [], "failed": 0} for tag in tags
-    }
-    for _, recs in results:
-        for tag in tags:
-            rec = recs[tag]
-            if rec[0] == "ok":
-                _, mu, se, lo, hi = rec
-                collected[tag]["mu"].append(mu)
-                collected[tag]["se"].append(se)
-                collected[tag]["hit"].append(lo <= mu0 <= hi)
-            else:
-                collected[tag]["failed"] += 1
 
     rows: Dict[str, MetricsRow] = {}
     for tag in tags:
-        c = collected[tag]
-        if c["mu"]:
-            row = compute_metrics(c["mu"], c["se"], c["hit"], mu0)
-            row.n_failed = c["failed"]
-        else:
-            row = MetricsRow(math.nan, math.nan, math.nan, math.nan, math.nan, math.nan, c["failed"])
-        rows[tag] = row
+        ok = [recs[tag][1:] for recs in results if recs[tag][0] == "ok"]
+        failed = len(results) - len(ok)
+        if not ok:
+            rows[tag] = MetricsRow(math.nan, math.nan, math.nan, math.nan, math.nan, math.nan, failed)
+            continue
+        mu, se, lo, hi = zip(*ok)
+        rows[tag] = compute_metrics(mu, se, [a <= mu0 <= b for a, b in zip(lo, hi)], mu0)
+        rows[tag].n_failed = failed
     return MetricsTable(rows, mu0)
 
 
@@ -446,9 +428,6 @@ def parse_config_text(text: str) -> List[Tuple[ScenarioSpec, Tuple[str, ...]]]:
         if not tokens:
             raise ConfigError(f"empty value for key {key!r}")
         if key == "scenario":
-            for t in tokens:
-                if t not in VALID_SCENARIOS:
-                    raise ConfigError(f"scenario must be one of {VALID_SCENARIOS}, got {t!r}")
             lists[key] = tokens
         elif key in ("n", "p"):
             lists[key] = [_parse_int(t, key) for t in tokens]

@@ -56,7 +56,6 @@ from .dataset import Dataset
 from .errors import (
     DegenerateData,
     DegenerateWeights,
-    DomainError,
     NonConvergence,
     RankDeficient,
     Separation,
@@ -114,13 +113,6 @@ class NuisanceFit:
 # ---------------------------------------------------------------------------
 
 
-def normal_quantile(q: float) -> float:
-    """Standard normal quantile function (inverse of the normal CDF)."""
-    if not 0.0 < q < 1.0:
-        raise DomainError(f"normal_quantile requires 0 < q < 1, got {q}")
-    return NormalDist().inv_cdf(q)
-
-
 def default_penalties(n: int, p: int) -> tuple[float, float]:
     """Default penalty levels for the two nuisance fits at sample size ``n``, dimension ``p``.
 
@@ -132,7 +124,7 @@ def default_penalties(n: int, p: int) -> tuple[float, float]:
     if p < 1:
         raise ValueError("p must be at least 1")
     tail = 1.0 - 0.05 / max(float(n), p * math.log(n))
-    lam_gamma = 1.1 / (2.0 * math.sqrt(n)) * normal_quantile(tail)
+    lam_gamma = 1.1 / (2.0 * math.sqrt(n)) * NormalDist().inv_cdf(tail)
     return lam_gamma, 2.0 * lam_gamma
 
 
@@ -154,8 +146,6 @@ def expit(v):
 
 def _column_scales(x: np.ndarray) -> np.ndarray:
     """Sample standard deviation (ddof=1) of each covariate; zeros map to 1."""
-    if x.shape[1] == 0:
-        return np.ones(0)
     if x.shape[0] < 2:
         return np.ones(x.shape[1])
     s = np.std(x, axis=0, ddof=1)
@@ -518,9 +508,7 @@ def _fit_propensity_lasso(loss: Callable, data: Dataset, lam: float) -> Coeffici
     at the intercept-only logit of the treated fraction."""
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    if data.n < 2:
-        raise DegenerateData("need at least two observations")
-    _require_both_arms(data)
+    _require_both_arms(data)  # also rejects fewer than two units
     z, scales = _standardized_design(data)
     x0 = np.zeros(data.p + 1)
     abar = data.a.mean()
@@ -701,8 +689,6 @@ def _restrict(data: Dataset, positions: Iterable[int], name: str) -> tuple[list[
     selected = sorted(set(int(j) for j in positions))
     if any(j < 1 or j > data.p for j in selected):
         raise ValueError(f"{name} entries must lie in 1..{data.p}")
-    # ``take``, unlike ``x[:, cols]``, returns a C-ordered array, so products
-    # with the refit design round as they do on any other dataset
     x = data.x.take([j - 1 for j in selected], axis=1)
     x.flags.writeable = False  # handed over: the dataset need not copy it
     return selected, Dataset(data.y, data.a, x)

@@ -101,6 +101,30 @@ def test_estimate_estimator_failure_exit_code(tmp_path):
     assert "RankDeficient" in proc.stderr
 
 
+def test_estimate_estimator_outside_the_roster(csv_path):
+    path, _ = csv_path
+    proc = run_cli("estimate", "--csv", str(path), "--outcome", "y", "--treatment", "a",
+                   "--estimator", "IPTW-MLE")
+    assert proc.returncode == 2
+    assert "invalid choice" in proc.stderr and "IPTW-MLE" in proc.stderr
+
+
+def test_estimate_unwritable_report_is_an_input_error(csv_path, tmp_path, capsys, monkeypatch):
+    path, _ = csv_path
+    report = tmp_path / "nodir" / "r.json"
+    monkeypatch.setattr(cli, "load_csv_dataset", None)  # the report is checked first
+    code = main(["estimate", "--csv", str(path), "--outcome", "y", "--treatment", "a",
+                 "--report", str(report)])
+    assert code == 2
+    assert f"cannot write {report}" in capsys.readouterr().err
+    assert not (tmp_path / "nodir").exists()
+    monkeypatch.undo()
+    code = main(["estimate", "--csv", str(path), "--outcome", "y", "--treatment", "a",
+                 "--estimator", "OR-OLS", "--report", str(tmp_path)])  # a directory
+    assert code == 2
+    assert f"cannot write {tmp_path}" in capsys.readouterr().err
+
+
 def test_estimate_missing_column(csv_path):
     path, _ = csv_path
     proc = run_cli("estimate", "--csv", str(path), "--outcome", "nope", "--treatment", "a")
@@ -316,7 +340,7 @@ AGREEMENT_INPUTS = {
 # the inputs numpy's C reader takes; every other one falls back
 C_READER_INPUTS = {
     "clean", "quoted-number", "space-padded", "tab-padded", "crlf", "no-final-newline",
-    "treatment-padded", "treatment-quoted", "bom-before-covariate", "mixed-line-endings",
+    "treatment-padded", "treatment-quoted", "bom", "bom-before-covariate", "mixed-line-endings",
 }
 
 
@@ -325,6 +349,7 @@ def _load_outcome(load, path, schema):
         data, cols = load(path, schema)
     except ConfigError as exc:
         return "error", str(exc)
+    assert not any("\ufeff" in c for c in cols)  # a byte-order mark names no column
     arrays = (data.y, data.a, data.x)
     return cols, [(v.shape, v.strides, v.tobytes()) for v in arrays]
 
@@ -452,6 +477,20 @@ def test_undecodable_inputs_are_input_errors(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_simulate_unwritable_out_is_an_input_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(SIM_CONFIG)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"cannot write {out}" in capsys.readouterr().err
+    out = tmp_path / "o"
+    (out / "S1_uncorr_ORcorrect_PScorrect_n150_p15.csv").mkdir(parents=True)  # the cell file
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "cannot write" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # bias-surface
 # ---------------------------------------------------------------------------
@@ -506,6 +545,21 @@ def test_bias_surface_bad_range(tmp_path):
     proc = run_cli("bias-surface", "--variant", "fig2", "--gamma-range", "0:1",
                    "--beta-range", "0:1:0.5", "--out", str(tmp_path / "o"))
     assert proc.returncode == 2
+
+
+def test_bias_surface_unwritable_out_is_an_input_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out in (blocker, blocker / "o"):
+        code = main(["bias-surface", "--variant", "fig1", "--gamma-range", "0:1:0.5",
+                     "--beta-range", "0:1:0.5", "--n-large", "2000", "--out", str(out)])
+        assert code == 2
+        assert f"cannot write {out}" in capsys.readouterr().err
+    (tmp_path / "o" / "fig1_surface.csv").mkdir(parents=True)  # the surface file
+    code = main(["bias-surface", "--variant", "fig1", "--gamma-range", "0:1:0.5",
+                 "--beta-range", "0:1:0.5", "--n-large", "2000", "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "cannot write" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("gamma_range", ["nan:1:0.5", "0:1:nan", "0:inf:1", "0:1:inf"])

@@ -16,7 +16,6 @@ from pbrdr import (
     Dataset,
     DegenerateData,
     DegenerateWeights,
-    DomainError,
     NonConvergence,
     NuisanceFit,
     RankDeficient,
@@ -30,7 +29,6 @@ from pbrdr import (
     fit_logistic_mle,
     fit_ols,
     fit_weighted_outcome_lasso,
-    normal_quantile,
     post_lasso_refit,
 )
 from pbrdr import solvers
@@ -96,45 +94,20 @@ def l1_violation(score: np.ndarray, coef: np.ndarray, lam: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# normal quantile and default penalties
+# default penalties
 # ---------------------------------------------------------------------------
 
 
-def test_normal_quantile_center():
-    assert normal_quantile(0.5) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_normal_quantile_upper_tail():
-    assert normal_quantile(0.975) == pytest.approx(1.959964, abs=1e-6)
-    assert normal_quantile(0.975) == pytest.approx(quantile_bisect(0.975), abs=1e-10)
-
-
-@given(st.floats(min_value=1e-6, max_value=1 - 1e-6))
-def test_normal_quantile_symmetry(q):
-    assert normal_quantile(q) == pytest.approx(-normal_quantile(1.0 - q), abs=1e-9)
-
-
-@given(st.floats(min_value=1e-4, max_value=1 - 1e-4))
-def test_normal_quantile_roundtrip(q):
-    assert phi_erf(normal_quantile(q)) == pytest.approx(q, abs=1e-12)
-
-
-@pytest.mark.parametrize("q", [0.0, 1.0, -0.3, 1.7])
-def test_normal_quantile_domain(q):
-    with pytest.raises(DomainError):
-        normal_quantile(q)
-
-
 def test_normal_quantile_matches_ndtri_at_penalty_quantiles():
-    # NormalDist.inv_cdf against scipy's ndtri, at the quantiles
-    # default_penalties asks for; 1e-15 relative is a few ulp at these values
-    qs = [0.975] + [
-        1.0 - 0.05 / max(float(n), p * math.log(n))
-        for n in (40, 200, 500, 2000, 5000)
-        for p in (4, 40, 100, 1000)
-    ]
-    for q in qs:
-        assert abs(normal_quantile(q) - ndtri(q)) <= 1e-15 * abs(ndtri(q))
+    # the normal quantile inside default_penalties (NormalDist.inv_cdf) against
+    # scipy's ndtri at the tail probabilities it asks for; 1e-15 relative is a
+    # few ulp at these values
+    for n in (40, 200, 500, 2000, 5000):
+        for p in (4, 40, 100, 1000):
+            tail = 1.0 - 0.05 / max(float(n), p * math.log(n))
+            lam_gamma, _ = default_penalties(n, p)
+            want = 1.1 / (2.0 * math.sqrt(n)) * ndtri(tail)
+            assert abs(lam_gamma - want) <= 1e-15 * abs(want)
 
 
 def test_expit_matches_scipy_without_warnings():
