@@ -311,7 +311,9 @@ def estimate_suite(
         try:
             out[tag] = SuiteEntry(result=builders[tag]())
         except PbrdrError as exc:
-            # A kept traceback would hold ``out`` and ``data`` in a reference cycle.
+            # A kept traceback would hold ``out`` and ``data`` in a reference
+            # cycle; so would the exception a solver raised this one from.
+            exc.__cause__ = exc.__context__ = None
             out[tag] = SuiteEntry(exception=exc.with_traceback(None))
     return out
 

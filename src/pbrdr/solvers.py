@@ -17,13 +17,18 @@ Every fitter returns a :class:`Coefficients` (``fit_br_refit`` a
 :class:`NuisanceFit` holding two of them).
 
 Three engines solve them: accelerated proximal gradient for the penalised
-propensity losses, damped Newton for the smooth unpenalized ones, and, for
-the penalised squared losses, working-set coordinate descent, which forms
-the Gram matrix of the working set only and screens the other coordinates
-with the full design's gradient. Each engine returns ``(x, kkt,
-iterations)``. The unpenalized squared losses (OLS, the post-selection
-outcome refits and the bias-reduced outcome equations) share one weighted
-least-squares solve, :func:`_least_squares`.
+propensity losses, coordinate descent for the penalised squared losses, and
+damped Newton for the smooth unpenalized ones. Each engine returns ``(x,
+kkt, iterations)``. Every penalised fit runs its engine under one
+working-set loop, :func:`_working_set`: each pass solves on the working
+set's columns only (for coordinate descent, on their Gram matrix only),
+then checks the other coordinates' KKT conditions with the full design's
+gradient and adds every violator, so a fit returns only when the full
+design's KKT residual meets the tolerance. This is the KKT re-check of
+Tibshirani et al. (2012) without their strong rule, which at the default
+penalties keeps every column. The unpenalized squared losses (OLS, the
+post-selection outcome refits and the bias-reduced outcome equations) share
+one weighted least-squares solve, :func:`_least_squares`.
 
 Conventions shared by every fitter:
 
@@ -35,10 +40,11 @@ Conventions shared by every fitter:
   ``lam * ||.||_1`` penalties (and the ridge term of :func:`fit_br_refit`)
   apply to coefficients on the unit-SD scale; reported KKT residuals live on
   that scale, which is the scale of the problem actually solved;
-* the engines read the tolerance ``DEFAULT_TOL`` and the iteration budgets
-  ``DEFAULT_PROX_ITER``, ``DEFAULT_CD_SWEEPS`` and ``DEFAULT_NEWTON_ITER``
-  themselves, at call time; a spent budget raises :class:`NonConvergence`,
-  never a partial result;
+* the fitters and Newton read the tolerance ``DEFAULT_TOL`` and the
+  iteration budgets ``DEFAULT_PROX_ITER``, ``DEFAULT_CD_SWEEPS`` and
+  ``DEFAULT_NEWTON_ITER`` at call time; the penalised budgets are shared by
+  all passes of a fit, and its ``n_iter`` is their total; a spent budget
+  raises :class:`NonConvergence`, never a partial result;
 * all score/KKT residuals are on the mean scale, i.e. ``(1/n) sum_i ...``;
 * solvers are pure functions of their inputs: no internal randomness.
 """
@@ -241,16 +247,21 @@ def _backtrack(value_grad, y, fy, gy, step, lam):
             raise NonConvergence("proximal line search stalled; no further progress possible")
 
 
-def _prox_gradient(value_grad, x0, lam):
+def _prox_gradient(value_grad, x0, lam, tol, max_iter):
     """Monotone accelerated proximal gradient with backtracking line search
     for the smooth part plus ``lam * ||x[1:]||_1``.
 
     ``value_grad(x)`` returns ``(value, gradient)`` of the smooth part on the
     mean scale (gradient may be None when the value is not finite). Momentum
     steps are accepted only when they do not increase the composite objective.
-    Stops when the KKT sup-norm residual falls to ``DEFAULT_TOL``.
+    Stops when the KKT sup-norm residual falls to ``tol``, within ``max_iter``
+    iterations; the fitters run it under :func:`_working_set`, which sets
+    both. Returns (x, kkt, iterations). Two checks raise
+    :class:`UnboundedObjective`: a composite objective below
+    ``value_grad.lower_bound`` (when the closure has one), which no problem
+    with a minimum reaches, and an iterate norm above ``NORM_GUARD``.
     """
-    tol, max_iter = DEFAULT_TOL, DEFAULT_PROX_ITER
+    bound = getattr(value_grad, "lower_bound", -math.inf)
     x = np.array(x0, dtype=float)
     fx, gx = value_grad(x)
     if not np.isfinite(fx):
@@ -279,19 +290,26 @@ def _prox_gradient(value_grad, x0, lam):
                 y, fy, gy = x, fx, gx
         z, fz, gz, step = _backtrack(value_grad, y, fy, gy, step, lam)
         big_fz = fz + pen(z)
-        if big_fz <= big_f:
+        # Near the optimum the objective's rounding outgrows its decrease, so
+        # the momentum step is judged with the line search's slack; an exact
+        # test there restarts the momentum at random and stalls the solve.
+        if big_fz <= big_f + 16.0 * np.finfo(float).eps * (1.0 + abs(big_f)):
             x_prev, x, fx, gx, big_f = x, z, fz, gz, big_fz
             t_mom = t_next
         else:
             # Momentum overshot: take a plain proximal step from x instead and
-            # restart the momentum. The line-search certificate guarantees
-            # descent mathematically, but near the optimum the improvement can
-            # fall below float resolution of the objective, so the value kept
-            # for the acceptance test is the running minimum.
+            # restart the momentum. The next test compares with the value at
+            # the new x, even where rounding within the slack raised it.
             z, fz, gz, step = _backtrack(value_grad, x, fx, gx, step, lam)
-            big_fz = min(fz + pen(z), big_f)
+            big_fz = fz + pen(z)
             x_prev, x, fx, gx, big_f = x, z, fz, gz, big_fz
             t_mom = 1.0
+        if big_f < bound:
+            raise UnboundedObjective(
+                f"objective {big_f:.4g} fell below {bound:.4g}, the least value it can take "
+                "at a minimum; the objective has no minimum (no treated reweighting "
+                "balances the controls to within lambda)"
+            )
         if float(np.linalg.norm(x)) > NORM_GUARD:
             raise UnboundedObjective(
                 "iterate norm exceeded the divergence guard; the objective has no minimum "
@@ -301,7 +319,7 @@ def _prox_gradient(value_grad, x0, lam):
         if kkt <= tol:
             return x, kkt, it
     raise NonConvergence(
-        f"proximal gradient hit max_iter={max_iter} with kkt residual {kkt:.3e} > tol {tol:.1e}"
+        f"proximal gradient spent its budget with kkt residual {kkt:.3e} > tol {tol:.1e}"
     )
 
 
@@ -310,16 +328,14 @@ def _prox_gradient(value_grad, x0, lam):
 # ---------------------------------------------------------------------------
 
 
-def _cd_quadratic(gram, lin, lam, x0, max_sweeps):
+def _cd_quadratic(gram, lin, lam, x0, tol, max_sweeps):
     """Cyclic coordinate descent with exact updates for
     ``0.5 x'Gx - c'x + lam * ||x[1:]||_1``.
 
     ``gram``/``lin`` are on the mean scale, so the stationarity system is the
-    mean-scale estimating equation. Returns (x, kkt, sweeps). The stopping
-    residual is ``DEFAULT_TOL`` floored at 64 ulps of ``max|lin|``: below
-    that it is float noise in the units of y.
+    mean-scale estimating equation. Stops when the KKT sup-norm residual
+    falls to ``tol``, within ``max_sweeps`` sweeps. Returns (x, kkt, sweeps).
     """
-    tol = max(DEFAULT_TOL, 64.0 * np.finfo(float).eps * float(np.max(np.abs(lin))))
     x = np.array(x0, dtype=float)
     dim = x.shape[0]
     diag = np.diag(gram).copy()
@@ -347,52 +363,57 @@ def _cd_quadratic(gram, lin, lam, x0, max_sweeps):
         if kkt <= tol:
             return x, kkt, sweep
     raise NonConvergence(
-        f"coordinate descent hit max sweeps={max_sweeps} with kkt residual {kkt:.3e} > tol {tol:.1e}"
+        f"coordinate descent spent its budget with kkt residual {kkt:.3e} > tol {tol:.1e}"
     )
 
 
-def _working_set_cd(z, weights, lin, lam, x0):
-    """Working-set coordinate descent for ``0.5 x'Gx - c'x + lam * ||x[1:]||_1``
-    with ``G = z' diag(weights) z / n``, never forming ``G`` in full.
+# ---------------------------------------------------------------------------
+# working-set loop (every penalised engine runs under it)
+# ---------------------------------------------------------------------------
 
-    Each pass runs :func:`_cd_quadratic` on the working set's small Gram
-    matrix, warm-started, on one shared ``DEFAULT_CD_SWEEPS`` budget; the set
+
+def _working_set(solve, x0, lam, floor, budget):
+    """Solve an l1-penalised problem on a growing set of design columns.
+
+    ``solve(idx, x_idx, tol, budget)`` runs a penalised engine on the columns
+    ``idx`` only, warm-started at ``x_idx``, to the KKT residual ``tol``
+    within ``budget`` iterations, and returns ``(x_idx, kkt, iterations,
+    grad)`` with ``grad`` the full design's gradient at its result. The set
     starts with the intercept and the nonzero coordinates, and the intercept
-    stays its first coordinate. The zero coordinates outside it are then
-    checked against the full gradient: the KKT residual is the larger of the
-    restricted solve's and their excess of ``|grad_j|`` over ``lam``. Above
-    the floored tolerance of :func:`_cd_quadratic`, every coordinate with an
-    excess joins, so each further pass has a larger set. Returns (x, kkt,
-    sweeps) as :func:`_cd_quadratic` does.
+    stays its first coordinate. After each pass, the zero coordinates outside
+    the set are checked against the full gradient: the KKT residual is the
+    larger of the pass's and their excess of ``|grad_j|`` over ``lam``.
+    Above ``floor``, every coordinate with an excess joins, and the next
+    pass is solved to a tenth of the largest excess (never below ``floor``),
+    so a pass on a set that will still grow stays cheap (Massias, Gramfort &
+    Salmon 2018), and a pass with nothing left to add goes to ``floor`` at
+    once. All passes share one budget. Returns (x, kkt, iterations) as the
+    engines do, with the iterations summed over the passes.
     """
-    n = z.shape[0]
-    max_sweeps = DEFAULT_CD_SWEEPS
-    floor = max(DEFAULT_TOL, 64.0 * np.finfo(float).eps * float(np.max(np.abs(lin))))
     x = np.array(x0, dtype=float)
     working = x != 0.0
     working[0] = True
-    sweeps = 0
+    tol, used = floor, 0
     while True:
         idx = np.flatnonzero(working)
-        zw = z[:, idx]
-        gram = (zw * weights[:, None]).T @ zw / n
         try:
-            x[idx], kkt, done = _cd_quadratic(gram, lin[idx], lam, x[idx], max_sweeps - sweeps)
-        except NonConvergence:
+            x[idx], kkt, done, grad = solve(idx, x[idx], tol, budget - used)
+        except NonConvergence as exc:
             raise NonConvergence(
-                f"coordinate descent hit max sweeps={max_sweeps} on a working set of "
-                f"{idx.size} of {x.size} coordinates"
+                f"{exc} on a working set of {idx.size} of {x.size} coordinates "
+                f"(budget {budget} shared by all passes)"
             ) from None
-        sweeps += done
-        grad = z.T @ (weights * (zw @ x[idx])) / n - lin
-        # Working-set coordinates keep the restricted solve's residual: at
-        # large outcome scales the rounding of the two products with ``z``
-        # alone can exceed the floor, and no sweep would then lower it.
+        used += done
+        # Working-set coordinates keep the pass's own residual: at large
+        # outcome scales the rounding of the two products with ``z`` alone
+        # can exceed the floor, and no further iteration would then lower it.
         excess = np.where(working, 0.0, np.abs(grad) - lam)
-        kkt = max(kkt, float(excess.max()))
+        outside = float(excess.max())
+        kkt = max(kkt, outside)
         if kkt <= floor:
-            return x, kkt, sweeps
+            return x, kkt, used
         working |= excess > 0.0
+        tol = max(floor, 0.1 * outside)
 
 
 # ---------------------------------------------------------------------------
@@ -446,12 +467,28 @@ def _calibration_value_grad(z: np.ndarray, a: np.ndarray) -> Callable:
     """Mean-scale value/gradient of ``(1/n) sum_i [A_i exp(-u_i) + (1-A_i) u_i]``.
 
     The gradient equals the calibration score ``(1/n) sum_i {1 - A_i/pi_i} z_i``;
-    the returned callable carries the Hessian callable as ``.hess``.
+    the returned callable carries the Hessian callable as ``.hess`` and the
+    per-unit score ``1 - A_i/pi_i`` as a function of ``u = z @ coef`` as
+    ``.residual``, so ``z' residual(u) / n`` is the gradient on any design.
+
+    ``.lower_bound`` is ``(n_c/n)(1 - log n_c)``, with ``n_c`` the number of
+    controls: whenever the loss plus any l1 penalty on ``g[1:]`` has a
+    minimum, its minimum is at least that, on every design. By duality the
+    minimum equals ``(1/n) sum_treated (w_i - w_i log w_i)`` for treated
+    weights ``w_i >= 0`` summing to ``n_c`` (the intercept's equation), and
+    ``sum w_i log w_i <= n_c log n_c`` there. An objective below the bound
+    therefore certifies that there is no minimum.
     """
     n = z.shape[0]
     treated = a == 1.0
     z_t = z[treated]
     z_c_sum = z[~treated].sum(axis=0)
+    n_c = n - z_t.shape[0]
+
+    def residual(u: np.ndarray) -> np.ndarray:
+        r = 1.0 - a
+        r[treated] = -np.exp(-u[treated])
+        return r
 
     def value_grad(coef: np.ndarray):
         u = z @ coef
@@ -468,20 +505,26 @@ def _calibration_value_grad(z: np.ndarray, a: np.ndarray) -> Callable:
         return (z_t * e_t[:, None]).T @ z_t / n
 
     value_grad.hess = hess
+    value_grad.residual = residual
+    value_grad.lower_bound = n_c * (1.0 - math.log(n_c)) / n if n_c else 0.0
     return value_grad
 
 
 def _logistic_value_grad(z: np.ndarray, a: np.ndarray) -> Callable:
     """Mean-scale negative log-likelihood of the logistic model and its gradient
-    (Hessian callable as ``.hess``)."""
+    (Hessian callable as ``.hess``, per-unit score ``pi_i - A_i`` of
+    ``u = z @ coef`` as ``.residual``)."""
     n = z.shape[0]
+
+    def residual(u: np.ndarray) -> np.ndarray:
+        return expit(u) - a
 
     def value_grad(coef: np.ndarray):
         u = z @ coef
         val = float(np.mean(np.logaddexp(0.0, u) - a * u))
         if not np.isfinite(val):
             return val, None
-        grad = z.T @ (expit(u) - a) / n
+        grad = z.T @ residual(u) / n
         return val, grad
 
     def hess(coef: np.ndarray) -> np.ndarray:
@@ -489,6 +532,7 @@ def _logistic_value_grad(z: np.ndarray, a: np.ndarray) -> Callable:
         return (z * (pi * (1.0 - pi))[:, None]).T @ z / n
 
     value_grad.hess = hess
+    value_grad.residual = residual
     return value_grad
 
 
@@ -505,15 +549,31 @@ def _require_both_arms(data: Dataset) -> None:
 
 def _fit_propensity_lasso(loss: Callable, data: Dataset, lam: float) -> Coefficients:
     """Proximal-gradient fit of ``loss(z, a)`` plus ``lam * ||g||_1``, started
-    at the intercept-only logit of the treated fraction."""
+    at the intercept-only logit of the treated fraction.
+
+    :func:`_working_set` drives it: each pass runs :func:`_prox_gradient` on
+    ``loss`` over the working set's columns, and the closure's ``.residual``
+    gives the full design's gradient as one product with ``z'``, without
+    copying rows of ``z``. ``kkt_residual`` is the full design's, and
+    ``n_iter`` counts the iterations of every pass, on one
+    ``DEFAULT_PROX_ITER`` budget.
+    """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     _require_both_arms(data)  # also rejects fewer than two units
     z, scales = _standardized_design(data)
+    a, n = data.a, data.n
     x0 = np.zeros(data.p + 1)
-    abar = data.a.mean()
+    abar = a.mean()
     x0[0] = math.log(abar / (1.0 - abar))
-    coef, kkt, n_iter = _prox_gradient(loss(z, data.a), x0, lam)
+
+    def solve(idx, x_idx, tol, budget):
+        zw = z[:, idx]
+        value_grad = loss(zw, a)
+        x_idx, kkt, done = _prox_gradient(value_grad, x_idx, lam, tol, budget)
+        return x_idx, kkt, done, z.T @ value_grad.residual(zw @ x_idx) / n
+
+    coef, kkt, n_iter = _working_set(solve, x0, lam, DEFAULT_TOL, DEFAULT_PROX_ITER)
     gamma = _back_transform(coef, scales)
     return Coefficients(gamma, lam, kkt, n_iter)
 
@@ -567,9 +627,9 @@ def _weighted_lasso(data: Dataset, weights: np.ndarray, lam: float) -> Coefficie
     minimum-norm solution of :func:`_least_squares`, the solve :func:`fit_ols`
     also uses; its normal-equation residual, on the 1/n mean scale, must be
     within ``DEFAULT_TOL`` relative to ``max|z'Wy| / n``. Otherwise
-    working-set coordinate descent (:func:`_working_set_cd`) performs exact
-    coordinate updates on the Gram matrix of the working set only, so the
-    cost per pass is O(n p) plus the working set's, never O(n p^2).
+    coordinate descent under :func:`_working_set` performs exact coordinate
+    updates on the Gram matrix of the working set only, so the cost per pass
+    is O(n p) plus the working set's, never O(n p^2).
     """
     n = data.n
     z, scales = _standardized_design(data)
@@ -589,7 +649,16 @@ def _weighted_lasso(data: Dataset, weights: np.ndarray, lam: float) -> Coefficie
     weight_mean = float(weights.sum()) / n
     if weight_mean > 0.0:
         x0[0] = lin[0] / weight_mean
-    coef, kkt, sweeps = _working_set_cd(z, weights, lin, lam, x0)
+
+    def solve(idx, x_idx, tol, budget):
+        zw = z[:, idx]
+        gram = (zw * weights[:, None]).T @ zw / n
+        x_idx, kkt, done = _cd_quadratic(gram, lin[idx], lam, x_idx, tol, budget)
+        return x_idx, kkt, done, z.T @ (weights * (zw @ x_idx)) / n - lin
+
+    # Below 64 ulps of max|lin| the residual is float noise in the units of y.
+    floor = max(DEFAULT_TOL, 64.0 * np.finfo(float).eps * float(np.max(np.abs(lin))))
+    coef, kkt, sweeps = _working_set(solve, x0, lam, floor, DEFAULT_CD_SWEEPS)
     beta = _back_transform(coef, scales)
     return Coefficients(beta, lam, kkt, sweeps)
 

@@ -27,6 +27,7 @@ from pbrdr import (
     or_estimate,
     pop_iptw_estimate,
 )
+from pbrdr import solvers
 from pbrdr.solvers import Coefficients, fit_ols
 
 
@@ -307,6 +308,25 @@ def test_suite_errors_do_not_keep_data_alive():
     try:
         suite = estimate_suite(data, ["OR-OLS", "Pop-IPTW-MLE"])
         assert suite["OR-OLS"].error == "RankDeficient"
+        del suite, data
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize(
+    "tag, budget", [("LASSO", "DEFAULT_CD_SWEEPS"), ("P-BR", "DEFAULT_PROX_ITER")]
+)
+def test_suite_chained_errors_do_not_keep_data_alive(tag, budget, monkeypatch):
+    # a working-set fit re-raises a spent budget from the engine's error,
+    # whose traceback must not survive in the stored one either
+    monkeypatch.setattr(solvers, budget, 1)
+    data = random_dataset(5, n=200, p=40, signal=2.0)
+    ref = weakref.ref(data)
+    gc.disable()
+    try:
+        suite = estimate_suite(data, [tag])
+        assert suite[tag].error == "NonConvergence"
         del suite, data
         assert ref() is None
     finally:

@@ -347,7 +347,7 @@ def test_working_set_lasso_matches_dense_coordinate_descent(p, weighted):
     lin = z.T @ (weights * data.y) / data.n
     x0 = np.zeros(p + 1)
     x0[0] = lin[0] / gram[0, 0]
-    dense, _, _ = _cd_quadratic(gram, lin, lam, x0, DEFAULT_CD_SWEEPS)
+    dense, _, _ = _cd_quadratic(gram, lin, lam, x0, DEFAULT_TOL, DEFAULT_CD_SWEEPS)
     coef_std = fit.coef.copy()
     coef_std[1:] *= scales
     assert np.max(np.abs(coef_std - dense)) <= 1e-7
@@ -364,6 +364,79 @@ def test_working_set_lasso_budget_exhaustion(weighted, monkeypatch):
     monkeypatch.setattr(solvers, "DEFAULT_CD_SWEEPS", 1)
     with pytest.raises(NonConvergence):
         _outcome_lasso_case(400, weighted)
+
+
+def _propensity_lasso_case(p, fitter):
+    """(data, lam, fit) of a propensity lasso at the suite's penalty level."""
+    data = random_dataset(30 + p, n=200, p=p, signal=2.0)  # nonempty active sets
+    lam = default_penalties(data.n, data.p)[0]
+    return data, lam, fitter(data, lam)
+
+
+PROPENSITY_LASSOS = pytest.mark.parametrize(
+    "fitter", [fit_calibration_lasso, fit_logistic_lasso], ids=["calibration", "logistic"]
+)
+
+
+@PROPENSITY_LASSOS
+@pytest.mark.parametrize("p", [400, 40])
+def test_screened_propensity_lasso_matches_full_proximal_gradient(p, fitter):
+    data, lam, fit = _propensity_lasso_case(p, fitter)
+    calibration = fitter is fit_calibration_lasso
+    loss = solvers._calibration_value_grad if calibration else solvers._logistic_value_grad
+    # the same problem on the full design, standardized independently
+    scales = np.std(data.x, axis=0, ddof=1)
+    z = np.hstack([np.ones((data.n, 1)), data.x / scales])
+    x0 = np.zeros(p + 1)
+    x0[0] = math.log(data.a.mean() / (1.0 - data.a.mean()))
+    full, _, _ = solvers._prox_gradient(
+        loss(z, data.a), x0, lam, solvers.DEFAULT_TOL, solvers.DEFAULT_PROX_ITER
+    )
+    coef_std = fit.coef.copy()
+    coef_std[1:] *= scales
+    assert np.max(np.abs(coef_std - full)) <= 1e-7
+    assert 0 < len(fit.active_set) < p
+    # the reported residual is the full-design one, recomputed here from scratch
+    u = z @ coef_std
+    score = z.T @ ((1.0 - data.a / expit(u)) if calibration else (expit(u) - data.a)) / data.n
+    assert fit.kkt_residual <= solvers.DEFAULT_TOL
+    assert l1_violation(score, coef_std, lam) == pytest.approx(fit.kkt_residual, abs=1e-12)
+
+
+@PROPENSITY_LASSOS
+def test_screened_propensity_lasso_budget_is_shared_by_its_passes(fitter, monkeypatch):
+    total = _propensity_lasso_case(400, fitter)[2].n_iter
+    assert total > 1
+    monkeypatch.setattr(solvers, "DEFAULT_PROX_ITER", total)
+    assert _propensity_lasso_case(400, fitter)[2].n_iter == total
+    for budget in (1, total - 1):
+        monkeypatch.setattr(solvers, "DEFAULT_PROX_ITER", budget)
+        with pytest.raises(NonConvergence, match="shared by all passes"):
+            _propensity_lasso_case(400, fitter)
+
+
+def test_calibration_unbounded_at_p_much_larger_than_n():
+    # an S1 draw on which no treated reweighting balances the controls to
+    # within the default penalty; the screened fit must still name the cause
+    spec = ScenarioSpec("S1", 200, 1000, False, True, True, reps=1, seed=11)
+    data = draw_dataset(build_model(spec), 200, 1000, False, np.random.default_rng([11, 5]))
+    with pytest.raises(UnboundedObjective):
+        fit_calibration_lasso(data, default_penalties(200, 1000)[0])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_calibration_minimum_is_its_dual_value_above_the_lower_bound(seed):
+    data = random_dataset(seed, n=150, p=6)
+    lam = 0.05
+    fit = fit_calibration_lasso(data, lam)
+    z = data.design()
+    u = z @ fit.coef
+    treated = data.a == 1.0
+    w = np.exp(-u[treated])  # the dual weights: treated inverse odds
+    primal = (w.sum() + u[~treated].sum()) / data.n + lam * np.abs(fit.coef * unit_sd(data))[1:].sum()
+    dual = np.sum(w - w * np.log(w)) / data.n
+    assert primal == pytest.approx(dual, abs=1e-7)
+    assert primal > solvers._calibration_value_grad(z, data.a).lower_bound
 
 
 def test_dataset_is_read_only_and_builds_its_design_once():
