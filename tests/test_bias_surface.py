@@ -46,9 +46,18 @@ def test_surface_dataset_deterministic():
 
 
 def test_target_mean_oracle_vs_closed_forms():
-    # E[X^2] = 5 and E[X^3 - X^2] = 7 for X = 3 - V, V ~ Gamma(1, 1)
-    assert target_mean("fig1") == pytest.approx(5.0, abs=0.005)
-    assert target_mean("fig2") == pytest.approx(7.0, abs=0.02)
+    # E[X^2] = 5 and E[X^3 - X^2] = 7 for X = 3 - V, V ~ Gamma(1, 1), from the
+    # moments E[V^k] = k!; the recorded 10^7-draw oracle lies within 3 of its
+    # standard errors (exact variances 8 and 89, so abs 0.0027 and 0.0090)
+    x = np.polynomial.Polynomial([3.0, -1.0])
+
+    def expectation(poly):
+        return sum(c * math.factorial(k) for k, c in enumerate(poly.coef))
+
+    for variant, outcome, exact in (("fig1", x * x, 5.0), ("fig2", x * x * x - x * x, 7.0)):
+        assert expectation(outcome) == pytest.approx(exact, abs=1e-12)
+        oracle_se = math.sqrt((expectation(outcome * outcome) - exact**2) / 10_000_000)
+        assert abs(target_mean(variant) - exact) < 3 * oracle_se
 
 
 def test_rescale_examples():
@@ -175,6 +184,8 @@ def test_grid_validation():
         evaluate_surface(dgp, [0.0], [math.inf])
     with pytest.raises(ConfigError):
         SurfaceDgp("fig3", 1000, 0)
+    with pytest.raises(ConfigError):
+        target_mean("fig3")
 
 
 def test_export_roundtrip(tmp_path):

@@ -1,6 +1,9 @@
 """Data-generating processes, metrics, the Monte Carlo runner, and config files."""
 
+import itertools
 import math
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +22,8 @@ from pbrdr import (
     scenario1_model,
     scenario2_model,
 )
-from pbrdr.simulation import _s1_coefficients, _s2_features, build_model, draw_dataset
+from pbrdr.bias_surface import VARIANTS, _outcome_mean, target_mean
+from pbrdr.simulation import _replicate, _s1_coefficients, _s2_features, build_model, draw_dataset
 
 
 def spec_s1(**kw):
@@ -129,12 +133,77 @@ def test_s2_transform_values():
     assert feats[0, 3] == 0.0
 
 
+def _s2_exact_mu0(correlated, nodes=120):
+    """Closed-form target of the transformed-covariate outcome model.
+
+    E[M1] = e^{1/8}. Under AR(1), X2 = rho*X1 + independent noise, so
+    E[M2] = 10 + rho*E[X1/(1+e^{X1})], the expectation by Gauss-Hermite
+    quadrature with ``nodes`` nodes. E[M3] expands the cube through the
+    moments of X1*X3, whose correlation is r = rho^2; E[X4] = 0.
+    """
+    rho = 0.5 if correlated else 0.0
+    t, w = np.polynomial.hermite_e.hermegauss(nodes)
+    e_m2 = 10.0 + rho * float(w @ (t / (1.0 + np.exp(t)))) / math.sqrt(2.0 * math.pi)
+    r, a, c = rho**2, 1.0 / 25.0, 0.6
+    e_m3 = a**3 * (9 * r + 6 * r**3) + 3 * a**2 * c * (1 + 2 * r**2) + 3 * a * c**2 * r + c**3
+    return 210.0 + 27.4 * math.exp(1.0 / 8.0) + 13.7 * e_m2 + 13.7 * e_m3
+
+
 def test_s2_misspecified_mu0_oracle_vs_analytic():
-    # uncorrelated case has a closed form: E[M1]=e^{1/8}, E[M2]=10,
-    # E[M3]=0.216 + 1.8/625
-    model = scenario2_model(s2_spec(or_correct=False))
-    analytic = 210.0 + 27.4 * math.exp(1.0 / 8.0) + 13.7 * 10.0 + 13.7 * (0.216 + 1.8 / 625.0)
-    assert model.mu0 == pytest.approx(analytic, abs=0.05)
+    # the recorded 10^7-draw oracle lies within 3 of its standard errors of the
+    # exact target, in both covariance settings
+    for correlated, exact in ((False, 381.046923614), (True, 379.786517010)):
+        assert _s2_exact_mu0(correlated) == pytest.approx(exact, abs=1e-9)
+        # a second quadrature order checks the quadrature itself
+        assert _s2_exact_mu0(correlated, nodes=60) == pytest.approx(exact, abs=1e-9)
+        model = scenario2_model(s2_spec(or_correct=False, correlated=correlated))
+        draws = model.m0(gen_covariates(1_000_000, 4, correlated, np.random.default_rng(5)))
+        oracle_se = draws.std(ddof=1) / math.sqrt(10_000_000)
+        assert abs(model.mu0 - exact) < 3 * oracle_se
+
+
+def _fixed_stream_oracle(seed, chunk_sum):
+    """Mean over 10^7 draws from the stream ``seed``, summed in ten chunks of
+    10^6 in order: the oracle that produced the recorded targets.
+    ``chunk_sum(rng, m)`` draws ``m`` units and sums their outcome means."""
+    rng = np.random.default_rng(seed)
+    total = 0.0
+    for _ in range(10):
+        total += float(chunk_sum(rng, 1_000_000))
+    return total / 10_000_000
+
+
+def test_recorded_targets_match_fixed_stream_oracles():
+    # the S2 and bias-surface targets are constants recorded from these
+    # oracles; equal to the bit on the machine that recorded them, and within
+    # 1e-12 relative where numpy's SIMD exp rounds a few ulps differently
+    for correlated in (False, True):
+        model = scenario2_model(s2_spec(or_correct=False, correlated=correlated))
+        oracle = _fixed_stream_oracle(
+            np.random.SeedSequence(entropy=202406, spawn_key=(int(correlated),)),
+            lambda rng, m: np.sum(model.m0(gen_covariates(m, 4, correlated, rng))),
+        )
+        assert model.mu0 == pytest.approx(oracle, rel=1e-12, abs=0.0)
+    for variant in VARIANTS:
+        oracle = _fixed_stream_oracle(
+            np.random.SeedSequence(entropy=771_100),
+            lambda rng, m: np.sum(_outcome_mean(3.0 - rng.standard_exponential(m), variant)),
+        )
+        assert target_mean(variant) == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+
+def test_building_models_draws_nothing(monkeypatch):
+    # every target is a constant: no model or surface target opens a random
+    # stream (``simulation`` and ``bias_surface`` both reach it as np.random)
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a random stream was opened")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    for scenario, corr, oc, pc in itertools.product(("S1", "S2"), *[(False, True)] * 3):
+        model = build_model(ScenarioSpec(scenario, 200, 40, corr, oc, pc, 1, 0))
+        assert math.isfinite(model.mu0)
+    for variant in VARIANTS:
+        assert math.isfinite(target_mean(variant))
 
 
 def test_s2_dimension_guard():
@@ -278,6 +347,17 @@ def test_runner_parallel_equals_serial():
     serial = run_monte_carlo(spec, ["P-BR", "LASSO"], n_jobs=1)
     parallel = run_monte_carlo(spec, ["P-BR", "LASSO"], n_jobs=2)
     assert serial.to_csv_text() == parallel.to_csv_text()
+
+
+def test_replicate_is_start_method_independent():
+    # spawned workers inherit nothing from this process: each rebuilds the
+    # model from the spec alone and must return the serial records
+    spec = s2_spec(correlated=True, or_correct=False, reps=4)
+    jobs = [(spec, DEFAULT_ROSTER, r) for r in range(spec.reps)]
+    ctx = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=2, mp_context=ctx) as pool:
+        spawned = list(pool.map(_replicate, jobs))
+    assert spawned == [_replicate(j) for j in jobs]
 
 
 def test_runner_single_rep():
