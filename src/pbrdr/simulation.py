@@ -24,9 +24,10 @@ which stabilises sample-size sweeps.
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -337,43 +338,48 @@ def run_monte_carlo(
 # plain-text configuration files
 # ---------------------------------------------------------------------------
 
-CONFIG_KEYS = (
-    "scenario",
-    "n",
-    "p",
-    "correlated",
-    "or_correct",
-    "ps_correct",
-    "reps",
-    "seed",
-    "estimators",
-)
-_SWEEP_KEYS = ("scenario", "n", "p", "correlated", "or_correct", "ps_correct")
+CONFIG_KEYS = tuple(f.name for f in fields(ScenarioSpec)) + ("estimators",)
+_SINGLE_KEYS = ("reps", "seed")  # every other field sweeps
+
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+# field annotation -> (name in error messages, converter raising KeyError or ValueError)
+_PARSERS: Dict[str, Tuple[str, Callable[[str], object]]] = {
+    "str": ("string", str),
+    "int": ("integer", int),
+    "bool": ("boolean", lambda t: _BOOLS[t.lower()]),
+}
 
 
-def _parse_bool(token: str, key: str) -> bool:
-    t = token.strip().lower()
-    if t in ("true", "1", "yes"):
-        return True
-    if t in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"cannot parse boolean value {token!r} for key {key!r}")
-
-
-def _parse_int(token: str, key: str) -> int:
+def _parse_value(token: str, key: str, kind: str):
+    name, convert = _PARSERS[kind]
     try:
-        return int(token.strip())
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse integer value {token!r} for key {key!r}") from exc
+        return convert(token)
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"cannot parse {name} value {token!r} for key {key!r}") from exc
+
+
+def _parse_list(value: str, key: str, kind: str) -> list:
+    """Comma-separated items: empty ones dropped, at least one left, none repeated."""
+    items = [_parse_value(t.strip(), key, kind) for t in value.split(",") if t.strip()]
+    if not items:
+        raise ConfigError(f"empty value for key {key!r}")
+    repeated = [v for i, v in enumerate(items) if v in items[:i]]
+    if repeated:
+        raise ConfigError(f"repeated value {repeated[0]!r} for key {key!r}")
+    return items
 
 
 def parse_config_text(text: str) -> List[Tuple[ScenarioSpec, Tuple[str, ...]]]:
     """Parse a key-value config into one or more simulation cells.
 
-    Keys: scenario, n, p, correlated, or_correct, ps_correct, reps, seed,
-    estimators. The first six accept comma-separated lists and expand to the
-    cross product of cells; reps and seed are single values; estimators is a
-    comma-separated list of at least one tag, defaulting to the full roster.
+    The keys are the fields of :class:`ScenarioSpec` plus ``estimators``,
+    one ``key = value`` per line; ``#`` starts a comment. ``reps`` and
+    ``seed`` take a single integer. Every other field takes a comma-separated
+    list, parsed by the field's type (booleans: true/false, yes/no, 1/0, any
+    case), and the cells are the cross product of those lists in field order
+    (``scenario`` outermost, ``ps_correct`` innermost). ``estimators`` is a
+    list of at least one tag, defaulting to the full roster. No list may
+    repeat a value once parsed (``true, 1`` and ``60, 060`` are repeats).
     """
     values: Dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -394,38 +400,11 @@ def parse_config_text(text: str) -> List[Tuple[ScenarioSpec, Tuple[str, ...]]]:
     if missing:
         raise ConfigError(f"missing required config key(s): {', '.join(missing)}")
 
-    requested = [t.strip() for t in values.get("estimators", "").split(",") if t.strip()]
-    if "estimators" in values and not requested:
-        raise ConfigError("empty value for key 'estimators'")
-    tags = _resolve_tags(requested if "estimators" in values else None)
-
-    reps = _parse_int(values["reps"], "reps")
-    seed = _parse_int(values["seed"], "seed")
-
-    lists: Dict[str, list] = {}
-    for key in _SWEEP_KEYS:
-        tokens = [t.strip() for t in values[key].split(",") if t.strip()]
-        if not tokens:
-            raise ConfigError(f"empty value for key {key!r}")
-        if key == "scenario":
-            lists[key] = tokens
-        elif key in ("n", "p"):
-            lists[key] = [_parse_int(t, key) for t in tokens]
-        else:
-            lists[key] = [_parse_bool(t, key) for t in tokens]
-
-    cells: List[Tuple[ScenarioSpec, Tuple[str, ...]]] = []
-    for scenario in lists["scenario"]:
-        for n in lists["n"]:
-            for p in lists["p"]:
-                for corr in lists["correlated"]:
-                    for oc in lists["or_correct"]:
-                        for pc in lists["ps_correct"]:
-                            cells.append(
-                                (
-                                    ScenarioSpec(scenario, n, p, corr, oc, pc, reps, seed),
-                                    tags,
-                                )
-                            )
-    return cells
-
+    requested = _parse_list(values["estimators"], "estimators", "str") if "estimators" in values else None
+    tags = _resolve_tags(requested)
+    axes = [
+        [_parse_value(values[f.name], f.name, f.type)] if f.name in _SINGLE_KEYS
+        else _parse_list(values[f.name], f.name, f.type)
+        for f in fields(ScenarioSpec)
+    ]
+    return [(ScenarioSpec(*cell), tags) for cell in itertools.product(*axes)]

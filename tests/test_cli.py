@@ -456,6 +456,15 @@ def test_simulate_bad_config(tmp_path):
     assert proc.returncode == 2
 
 
+def test_simulate_repeated_value_is_an_input_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(SIM_CONFIG.replace("n = 150", "n = 150, 150"))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "repeated value 150 for key 'n'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("scenario, p", [("S1", 10), ("S2", 3)])
 def test_simulate_too_few_covariates_is_an_input_error(tmp_path, capsys, scenario, p):
     cfg = tmp_path / "cfg.txt"

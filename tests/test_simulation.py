@@ -4,6 +4,7 @@ import itertools
 import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -428,6 +429,55 @@ def test_config_sweep_cross_product():
     ]
 
 
+def test_config_every_sweep_key_crosses_in_field_order():
+    text = """
+    scenario = S1, S2
+    n = 200, 400
+    p = 40, 60
+    correlated = false, true
+    or_correct = true, false
+    ps_correct = false, true
+    reps = 3
+    seed = 5
+    """
+    cells = parse_config_text(text)
+    expected = [
+        ScenarioSpec(s, n, p, corr, oc, pc, 3, 5)
+        for s in ("S1", "S2")
+        for n in (200, 400)
+        for p in (40, 60)
+        for corr in (False, True)
+        for oc in (True, False)
+        for pc in (False, True)
+    ]
+    assert [spec for spec, _ in cells] == expected
+    assert len(cells) == 64
+
+
+@pytest.mark.parametrize(
+    "token, value", [("yes", True), ("no", False), ("1", True), ("0", False), ("TRUE", True)]
+)
+def test_config_boolean_spellings(token, value):
+    cells = parse_config_text(CONFIG.replace("correlated = false", f"correlated = {token}"))
+    assert [spec.correlated for spec, _ in cells] == [value]
+
+
+def test_config_empty_items_and_inline_comments():
+    text = CONFIG.replace("n = 200", "n = 200, ,400   # two sample sizes").replace(
+        "seed = 99", "seed = 99 # the stream"
+    )
+    cells = parse_config_text(text)
+    assert [(spec.n, spec.seed) for spec, _ in cells] == [(200, 99), (400, 99)]
+
+
+def test_config_keys_are_the_spec_fields_and_estimators():
+    keys = ("scenario", "n", "p", "correlated", "or_correct", "ps_correct", "reps", "seed", "estimators")
+    assert tuple(f.name for f in fields(ScenarioSpec)) + ("estimators",) == keys
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(CONFIG + "signal = 0.5\n")
+    assert str(err.value).endswith("valid keys: " + ", ".join(keys))
+
+
 def test_config_default_estimators():
     text = "\n".join(ln for ln in CONFIG.splitlines() if not ln.startswith("estimators"))
     cells = parse_config_text(text)
@@ -444,6 +494,13 @@ def test_config_default_estimators():
         ("bogus_key = 1", "unknown key"),
         ("seed = -1", "seed"),
         ("estimators =", "empty value"),
+        ("n = 60, 060", "repeated value 60 for key 'n'"),
+        ("or_correct = true, 1", "repeated value True for key 'or_correct'"),
+        ("estimators = OR-OLS, OR-OLS", "repeated value 'OR-OLS' for key 'estimators'"),
+        ("reps = x", "cannot parse integer value 'x' for key 'reps'"),
+        ("seed = 1.5", "cannot parse integer value '1.5' for key 'seed'"),
+        ("no equals sign", "expected 'key = value'"),
+        ("seed = 1\nseed = 2", "duplicate key 'seed'"),
     ],
 )
 def test_config_errors(mutation, fragment):
