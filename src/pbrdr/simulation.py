@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -315,6 +314,9 @@ def run_monte_carlo(
     # workers inherit no state and any start method gives the same records
     jobs = [(spec, tags, r) for r in range(spec.reps)]
     if n_jobs > 1:
+        # imported here so that the CLI and serial runs never load the pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             # ``map`` yields the results in job order
             results = list(pool.map(_replicate, jobs, chunksize=max(1, spec.reps // (8 * n_jobs))))

@@ -139,15 +139,33 @@ def default_penalties(n: int, p: int) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def expit(v):
+def expit(v, out=None):
     """Logistic function ``1 / (1 + exp(-v))``, elementwise.
 
     The formula scipy's ``expit`` uses; below about -709 ``exp(-v)``
     overflows to inf and the result is exactly 0, so that overflow is
     expected and silenced.
+
+    As with a numpy ufunc, ``out`` is an array to write the result into (it
+    may be ``v`` itself) and is returned. Without it the result is one new
+    array: the negation allocates it and every later step runs in place, with
+    the bits of the plain formula.
     """
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-v))
+        out = np.negative(v, out=out, dtype=float)
+        if not isinstance(out, np.ndarray):  # a scalar ``v``
+            return 1.0 / (1.0 + np.exp(out))
+        np.exp(out, out=out)
+        np.add(out, 1.0, out=out)
+        return np.divide(1.0, out, out=out)
+
+
+def _iterate_norm(x: np.ndarray) -> float:
+    """Euclidean norm of an iterate, for the divergence guards. A diverging
+    iterate can overflow the sum of squares; the norm is then inf, which is
+    over every guard, so that overflow is expected and silenced."""
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(x))
 
 
 def _column_scales(x: np.ndarray) -> np.ndarray:
@@ -310,7 +328,7 @@ def _prox_gradient(value_grad, x0, lam, tol, max_iter):
                 "at a minimum; the objective has no minimum (no treated reweighting "
                 "balances the controls to within lambda)"
             )
-        if float(np.linalg.norm(x)) > NORM_GUARD:
+        if _iterate_norm(x) > NORM_GUARD:
             raise UnboundedObjective(
                 "iterate norm exceeded the divergence guard; the objective has no minimum "
                 "(e.g. separable treatment with lambda = 0)"
@@ -454,7 +472,7 @@ def _newton(value_grad, hess, x0, divergence_error: Exception, norm_guard: float
             if step < 1e-16:
                 raise NonConvergence("Newton line search stalled")
         x, f, g = x_new, f_new, g_new
-        if float(np.linalg.norm(x)) > norm_guard:
+        if _iterate_norm(x) > norm_guard:
             raise divergence_error
 
 

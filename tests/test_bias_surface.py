@@ -1,6 +1,7 @@
 """Bias-surface study: DGP moments, grid evaluation, saddle geometry, CSV round-trip."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,14 +11,17 @@ from scipy.special import expit
 
 from pbrdr import (
     ConfigError,
+    DegenerateData,
     SurfaceDgp,
     evaluate_surface,
     export_surface,
     rescale_bias,
     surface_dataset,
+    UnboundedObjective,
     target_mean,
 )
 from pbrdr.bias_surface import _reference_slope, _scalar_dr_bias
+from pbrdr.estimators import POSITIVITY_THRESHOLD
 from pbrdr.solvers import _calibration_value_grad, _logistic_value_grad
 
 
@@ -113,6 +117,51 @@ def test_surface_values_match_direct_plugin():
             assert grid.rescaled_bias[i, j] == pytest.approx(rescale_bias(raw), abs=1e-10)
             cell = _scalar_dr_bias(x, data.a, data.y, gs, bs, mu0)
             assert grid.rescaled_bias[i, j] == pytest.approx(rescale_bias(cell), abs=1e-10)
+
+
+@pytest.mark.parametrize("variant", ["fig1", "fig2"])
+@pytest.mark.parametrize("seed", [2, 5])
+def test_surface_rows_match_the_plain_row_loop_bit_for_bit(variant, seed):
+    # the plain loop: a fresh propensity array per row, its minimum over every
+    # treated unit, then 1/pi; on a slope grid across the positivity onset, so
+    # the NaN rows must match too
+    dgp = SurfaceDgp(variant, 20_000, seed)
+    gammas = np.linspace(-1.0, 3.0, 81)
+    betas = np.array([-30.0, -2.5, 0.0, 4.0])
+    data = surface_dataset(dgp)
+    x, mu0 = data.x[:, 0], target_mean(variant)
+    treated = data.a == 1.0
+    x_t, y_t = x[treated], data.y[treated]
+    want = np.full((gammas.size, betas.size), np.nan)
+    for i, gs in enumerate(gammas):
+        with np.errstate(over="ignore"):
+            pi_t = 1.0 / (1.0 + np.exp(-(gs * x_t)))
+        if np.min(pi_t) < POSITIVITY_THRESHOLD:
+            continue
+        inv_pi_t = 1.0 / pi_t
+        t1 = (float(x.sum()) - float(x_t @ inv_pi_t)) / data.n
+        t2 = float(y_t @ inv_pi_t) / data.n
+        want[i, :] = betas * t1 + t2 - mu0
+    nan_rows = np.isnan(want[:, 0])
+    assert nan_rows.any() and not nan_rows.all()
+    grid = evaluate_surface(dgp, gammas, betas)
+    assert np.array_equal(grid.rescaled_bias, rescale_bias(want), equal_nan=True)
+
+
+def test_surface_sample_without_treated_units_is_degenerate():
+    # at n_large 2 this seed draws two controls; no inverse weight exists
+    assert surface_dataset(SurfaceDgp("fig1", 2, 11)).a.sum() == 0.0
+    with pytest.raises(DegenerateData, match="treated arm is empty"):
+        evaluate_surface(SurfaceDgp("fig1", 2, 11), [0.0], [0.0])
+
+
+def test_diverging_reference_fit_raises_without_overflow_warning():
+    # the calibration slope of this ten-unit sample has no minimum; its Newton
+    # iterate overflows the guard's sum of squares, which must stay silent
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(UnboundedObjective):
+            evaluate_surface(SurfaceDgp("fig1", 10, 11), [0.0], [0.0])
 
 
 def test_gamma_draws_are_unit_exponential_draws():

@@ -571,6 +571,14 @@ def test_bias_surface_unwritable_out_is_an_input_error(tmp_path, capsys):
     assert "cannot write" in capsys.readouterr().err
 
 
+def test_bias_surface_without_treated_units_exits_3(tmp_path, capsys):
+    code = main(["bias-surface", "--variant", "fig1", "--gamma-range=0:1:1", "--beta-range=0:0:1",
+                 "--n-large", "2", "--seed", "11", "--out", str(tmp_path)])
+    assert code == 3
+    assert "DegenerateData" in capsys.readouterr().err
+    assert not (tmp_path / "fig1_surface.csv").exists()
+
+
 @pytest.mark.parametrize("gamma_range", ["nan:1:0.5", "0:1:nan", "0:inf:1", "0:1:inf"])
 def test_bias_surface_non_finite_range(tmp_path, capsys, gamma_range):
     code = main(["bias-surface", "--variant", "fig1", f"--gamma-range={gamma_range}",
@@ -582,6 +590,15 @@ def test_bias_surface_non_finite_range(tmp_path, capsys, gamma_range):
 # ---------------------------------------------------------------------------
 # misc
 # ---------------------------------------------------------------------------
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # run_monte_carlo imports the pool only for n_jobs > 1
+    code = ("import sys, pbrdr.cli; "
+            "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_main_callable_directly(tmp_path, csv_path, monkeypatch):

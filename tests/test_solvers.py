@@ -123,6 +123,33 @@ def test_expit_matches_scipy_without_warnings():
     assert ulps.max() <= 4
 
 
+def test_expit_writes_into_out_with_the_same_bits():
+    v = np.linspace(-800.0, 800.0, 4001)
+    want = solvers.expit(v)
+    with np.errstate(over="ignore"):
+        assert np.array_equal(want, 1.0 / (1.0 + np.exp(-v)))
+    buf = np.empty_like(v)
+    assert solvers.expit(v, out=buf) is buf
+    assert np.array_equal(buf, want)
+    same = v.copy()
+    assert solvers.expit(same, out=same) is same  # in place over the input
+    assert np.array_equal(same, want)
+
+
+def test_newton_divergence_guard_is_silent_on_overflow():
+    # one Newton step lands at 1e300, whose square overflows; the norm is then
+    # inf, which still trips the guard, and no RuntimeWarning escapes
+    def value_grad(x):
+        return -float(x[0]), np.array([-1.0])
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnboundedObjective):
+            solvers._newton(
+                value_grad, lambda x: np.array([[1e-300]]), np.zeros(1), UnboundedObjective("diverged")
+            )
+
+
 def test_import_leaves_scipy_unloaded():
     code = "import sys, pbrdr; print('scipy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
