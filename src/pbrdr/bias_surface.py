@@ -156,8 +156,10 @@ def evaluate_surface(dgp: SurfaceDgp, gamma_grid, beta_grid) -> SurfaceGrid:
     propensity ``expit(g * x)`` falls below ``POSITIVITY_THRESHOLD`` is
     left NaN; since ``expit`` is monotone, that propensity sits at the
     smallest or largest treated ``x``, and the row is judged from those two
-    values before any pass. A sample with no treated unit raises
-    :class:`DegenerateData`.
+    values before any pass. A sample with an empty arm (no treated or no
+    control unit) raises :class:`DegenerateData`, which the CLI reports with
+    exit code 3: without controls the calibration loss of the BR reference
+    has no minimum.
     """
     gamma_grid = np.asarray(gamma_grid, dtype=float)
     beta_grid = np.asarray(beta_grid, dtype=float)
@@ -173,10 +175,11 @@ def evaluate_surface(dgp: SurfaceDgp, gamma_grid, beta_grid) -> SurfaceGrid:
     y = data.y
     n = data.n
     treated = a == 1.0
-    if not treated.any():
+    if not treated.any() or treated.all():
+        arm = "control" if treated.any() else "treated"
         raise DegenerateData(
-            f"the surface sample (n_large={dgp.n_large}, seed={dgp.seed}) has no treated "
-            "unit; the treated arm is empty, so no inverse weight is defined"
+            f"the surface sample (n_large={dgp.n_large}, seed={dgp.seed}) has no {arm} "
+            f"unit; the {arm} arm is empty, so the weights and reference fits are undefined"
         )
     x_t, y_t = x[treated], y[treated]
     x_sum = float(x.sum())

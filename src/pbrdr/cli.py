@@ -12,6 +12,10 @@ report, so runs sharing an output directory keep separate manifests. A
 manifest records the arguments the command parsed and, in ``stage_s``, the
 wall time of each stage: ``load``, ``fit`` and ``write`` for ``estimate``,
 ``evaluate`` and ``export`` for ``bias-surface``, one per cell for ``simulate``.
+The ``simulate`` statuses give each cell's failures per estimator, as
+``{"n_failed": k, "failed_by_class": {class name: count}}``. A ``simulate`` or
+``bias-surface`` run that fails with a :class:`~pbrdr.errors.PbrdrError`
+records it as ``statuses["error"] = {"class": ..., "message": ...}``.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import time
 import warnings
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -271,35 +275,60 @@ def _write_json(path: Path, payload: Dict) -> None:
         fh.write("\n")
 
 
-@contextmanager
-def _stage(stage_s: Dict[str, float], name: str):
-    """Record the wall time of the ``with`` body in ``stage_s[name]``, also
-    when the body raises."""
-    t = time.perf_counter()
-    try:
-        yield
-    finally:
-        stage_s[name] = time.perf_counter() - t
+@dataclass
+class _Run:
+    """The record of one command run, written out as its manifest: the
+    parsed arguments, inputs, seed, start time, the wall time of each stage,
+    statuses and the files the run wrote."""
 
+    args: argparse.Namespace
+    config: Dict
+    seed: Optional[int] = None
+    t0: float = field(default_factory=time.perf_counter)
+    stage_s: Dict[str, float] = field(default_factory=dict)
+    statuses: Dict = field(default_factory=dict)
+    outputs: List[str] = field(default_factory=list)
 
-def _write_manifest(path, args, config, t0, stage_s, statuses, outputs, seed=None) -> None:
-    """Write the manifest of one run to ``path``: its command and arguments,
-    inputs, statuses, the files it wrote (the manifest included), the wall
-    time since ``t0`` and the wall time of each stage."""
-    _write_json(
-        path,
-        {
-            "command": args.command,
-            "argv": args.argv,
-            "config": config,
-            "seed": seed,
-            "version": __version__,
-            "wall_time_s": time.perf_counter() - t0,
-            "stage_s": stage_s,
-            "statuses": statuses,
-            "output_files": sorted({*outputs, str(path)}),
-        },
-    )
+    @contextmanager
+    def stage(self, name: str):
+        """Record the wall time of the ``with`` body in ``stage_s[name]``,
+        also when the body raises."""
+        t = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.stage_s[name] = time.perf_counter() - t
+
+    @contextmanager
+    def recording(self, path: Path):
+        """Write the manifest to ``path`` after the ``with`` body, also when
+        it raises; a :class:`PbrdrError` is first recorded as
+        ``statuses["error"]``, by class and message."""
+        try:
+            yield
+        except PbrdrError as exc:
+            self.statuses["error"] = {"class": type(exc).__name__, "message": str(exc)}
+            raise
+        finally:
+            self.write_manifest(path)
+            print(f"wrote {path}")
+
+    def write_manifest(self, path: Path) -> None:
+        """Write the manifest, which lists itself among the output files."""
+        _write_json(
+            path,
+            {
+                "command": self.args.command,
+                "argv": self.args.argv,
+                "config": self.config,
+                "seed": self.seed,
+                "version": __version__,
+                "wall_time_s": time.perf_counter() - self.t0,
+                "stage_s": self.stage_s,
+                "statuses": self.statuses,
+                "output_files": sorted({*self.outputs, str(path)}),
+            },
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +352,8 @@ def _result_payload(res) -> Dict:
 
 
 def cmd_estimate(args) -> int:
-    t0 = time.perf_counter()
+    keys = ("csv", "outcome", "treatment", "estimator", "target", "na_policy")
+    run = _Run(args, {k: getattr(args, k) for k in keys})
     schema = CsvSchema(
         outcome_col=args.outcome,
         treatment_col=args.treatment,
@@ -333,10 +363,10 @@ def cmd_estimate(args) -> int:
     report = Path(args.report) if args.report else Path(args.csv).with_suffix(".estimate.json")
     if args.report and not report.parent.is_dir():  # the default sits beside the CSV
         raise ConfigError(f"cannot write {report}: no directory {report.parent}")
-    stage_s: Dict[str, float] = {}
-    with _stage(stage_s, "load"):
+    with run.stage("load"):
         data, cov_cols = load_csv_dataset(args.csv, schema)
-    with _stage(stage_s, "fit"):
+    run.config["covariates"] = cov_cols
+    with run.stage("fit"):
         if args.target == "ate":
             res = ate_estimate(data, args.estimator)
             payload = {
@@ -364,25 +394,11 @@ def cmd_estimate(args) -> int:
     payload["n"] = data.n
     payload["n_treated"] = data.n_treated
     payload["covariates"] = cov_cols
-    with _stage(stage_s, "write"):
+    with run.stage("write"):
         _write_json(report, payload)
-    _write_manifest(
-        report.with_name(report.stem + ".manifest.json"),
-        args,
-        {
-            "csv": str(args.csv),
-            "outcome": args.outcome,
-            "treatment": args.treatment,
-            "covariates": cov_cols,
-            "estimator": args.estimator,
-            "target": args.target,
-            "na_policy": args.na_policy,
-        },
-        t0,
-        stage_s,
-        {args.estimator: "ok"},
-        [str(report)],
-    )
+    run.outputs.append(str(report))
+    run.statuses[args.estimator] = "ok"
+    run.write_manifest(report.with_name(report.stem + ".manifest.json"))
     print(f"report      : {report}")
     return 0
 
@@ -403,40 +419,22 @@ def cmd_simulate(args) -> int:
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
     n_jobs = max(1, args.threads)
-    stage_s: Dict[str, float] = {}
-    statuses: Dict = {}
-    outputs: List[str] = []
-    t0 = time.perf_counter()
-    try:
+    # every cell of a config shares its seed
+    run = _Run(args, {"path": str(args.config), "text": text, "threads": n_jobs}, cells[0][0].seed)
+    with run.recording(out_dir / "manifest.json"):
         for spec, tags in cells:
             name = spec.cell_name()
-            try:
-                with _stage(stage_s, name):
-                    table = run_monte_carlo(spec, tags, n_jobs=n_jobs)
-            except PbrdrError as exc:
-                statuses[name] = {"error": type(exc).__name__, "message": str(exc)}
-                continue
+            with run.stage(name):
+                table = run_monte_carlo(spec, tags, n_jobs=n_jobs)
             out_path = out_dir / f"{name}.csv"
             with _writing(out_path):
                 table.write_csv(out_path)
-            outputs.append(str(out_path))
-            statuses[name] = {
-                tag: {"n_failed": row.n_failed} for tag, row in sorted(table.rows.items())
+            run.outputs.append(str(out_path))
+            run.statuses[name] = {
+                tag: {"n_failed": row.n_failed, "failed_by_class": row.failed_by_class}
+                for tag, row in sorted(table.rows.items())
             }
             print(f"wrote {out_path}")
-    finally:
-        manifest = out_dir / "manifest.json"
-        _write_manifest(
-            manifest,
-            args,
-            {"path": str(args.config), "text": text, "threads": n_jobs},
-            t0,
-            stage_s,
-            statuses,
-            outputs,
-            seed=cells[0][0].seed,  # every cell of a config shares its seed
-        )
-        print(f"wrote {manifest}")
     return 0
 
 
@@ -470,17 +468,15 @@ def cmd_bias_surface(args) -> int:
     out_dir = Path(args.out)
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
-    stage_s: Dict[str, float] = {}
-    statuses: Dict = {}
-    outputs: List[str] = []
-    t0 = time.perf_counter()
-    try:
-        with _stage(stage_s, "evaluate"):
+    keys = ("variant", "gamma_range", "beta_range", "n_large")
+    run = _Run(args, {k: getattr(args, k) for k in keys}, args.seed)
+    with run.recording(out_dir / f"{args.variant}_manifest.json"):
+        with run.stage("evaluate"):
             grid = evaluate_surface(dgp, gamma_grid, beta_grid)
-        with _stage(stage_s, "export"), _writing(out_dir):
+        with run.stage("export"), _writing(out_dir):
             main_path, sidecar = export_surface(grid, out_dir / f"{args.variant}_surface.csv")
-        outputs += [str(main_path), str(sidecar)]
-        statuses = {
+        run.outputs += [str(main_path), str(sidecar)]
+        run.statuses = {
             "references": grid.reference_biases,
             "br_point": list(grid.br_point),
             "cells": int(gamma_grid.size * beta_grid.size),
@@ -489,24 +485,6 @@ def cmd_bias_surface(args) -> int:
         print(f"wrote {sidecar}")
         for tag, val in grid.reference_biases.items():
             print(f"reference {tag:7s}: {val:.4g}")
-    finally:
-        manifest = out_dir / f"{args.variant}_manifest.json"
-        _write_manifest(
-            manifest,
-            args,
-            {
-                "variant": args.variant,
-                "gamma_range": args.gamma_range,
-                "beta_range": args.beta_range,
-                "n_large": args.n_large,
-            },
-            t0,
-            stage_s,
-            statuses,
-            outputs,
-            seed=args.seed,
-        )
-        print(f"wrote {manifest}")
     return 0
 
 

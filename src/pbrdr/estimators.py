@@ -44,20 +44,6 @@ POSITIVITY_THRESHOLD = 1e-6
 
 CI_MULTIPLIER = 1.96
 
-# The ten estimators reported by the benchmark suite, in sorted output order.
-DEFAULT_ROSTER: Tuple[str, ...] = (
-    "DS-LASSO",
-    "DS-P-BR",
-    "LASSO",
-    "MLE",
-    "OR-LASSO",
-    "OR-OLS",
-    "P-BR",
-    "Pop-IPTW-LASSO",
-    "Pop-IPTW-MLE",
-    "Post-LASSO",
-)
-
 
 def _resolve_tags(tags: Optional[Sequence[str]]) -> Tuple[str, ...]:
     """The requested estimator tags (default: the roster); raises
@@ -208,90 +194,76 @@ def pop_iptw_estimate(
     return _result_from_influence(u, estimator, se_is_naive=True)
 
 
-def _suite_builders(data: Dataset, lam_gamma: float, lam_beta: float):
-    """Tag -> builder map with shared, lazily computed nuisance fits.
+class _NuisanceFits:
+    """The nuisance fits one suite call shares, each built on first use from
+    :data:`_NUISANCE_FITS`.
 
     Failures are cached alongside successes so that every estimator
     depending on a failed fit reports the same underlying error without
     re-running the solver.
     """
-    cache: Dict[str, object] = {}
 
-    def shared(key: str, build):
-        if key not in cache:
+    def __init__(self, data: Dataset) -> None:
+        self.data = data
+        self.lam_gamma, self.lam_beta = default_penalties(data.n, max(data.p, 1))
+        self._cache: Dict[str, object] = {}
+
+    def __call__(self, key: str):
+        if key not in self._cache:
             try:
-                cache[key] = ("ok", build())
+                self._cache[key] = _NUISANCE_FITS[key](self)
             except PbrdrError as exc:
-                cache[key] = ("err", exc)
-        status, value = cache[key]
-        if status == "err":
+                self._cache[key] = exc
+        value = self._cache[key]
+        if isinstance(value, PbrdrError):
             raise value
         return value
 
-    def g_mle():
-        return shared("g_mle", lambda: fit_logistic_mle(data))
+    def union(self, g: str, b: str) -> list:
+        """The union of the active sets of two fits."""
+        return sorted(set(self(g).active_set) | set(self(b).active_set))
 
-    def b_ols():
-        return shared("b_ols", lambda: fit_ols(data))
 
-    def g_lasso():
-        return shared("g_lasso", lambda: fit_logistic_lasso(data, lam_gamma))
+# Each shared nuisance fit by name, built from the lookup ``f`` (its dataset,
+# penalty levels and other fits). The fitters are looked up at call time.
+_NUISANCE_FITS = {
+    "g_mle": lambda f: fit_logistic_mle(f.data),
+    "b_ols": lambda f: fit_ols(f.data),
+    "g_lasso": lambda f: fit_logistic_lasso(f.data, f.lam_gamma),
+    # Treated-subsample fit: the nominal level lives on the subsample scale,
+    # the solver normalizes by the full n.
+    "b_lasso": lambda f: fit_linear_lasso(f.data, f.lam_beta * f.data.n_treated / f.data.n),
+    "g_pbr": lambda f: fit_calibration_lasso(f.data, f.lam_gamma),
+    "b_pbr": lambda f: fit_weighted_outcome_lasso(f.data, f("g_pbr"), f.lam_beta),
+    "g_post": lambda f: post_lasso_refit(f.data, f("g_lasso").active_set, "propensity"),
+    "b_post": lambda f: post_lasso_refit(f.data, f("b_lasso").active_set, "outcome"),
+    "g_ds": lambda f: post_lasso_refit(f.data, f.union("g_lasso", "b_lasso"), "propensity"),
+    "b_ds": lambda f: post_lasso_refit(f.data, f.union("g_lasso", "b_lasso"), "outcome"),
+}
 
-    def b_lasso():
-        # Treated-subsample fit: the nominal level lives on the subsample
-        # scale, the solver normalizes by the full n.
-        lam_eff = lam_beta * data.n_treated / data.n
-        return shared("b_lasso", lambda: fit_linear_lasso(data, lam_eff))
 
-    def g_pbr():
-        return shared("g_pbr", lambda: fit_calibration_lasso(data, lam_gamma))
+def _dr(g: str, b: str):
+    return lambda f, tag: dr_estimate(f.data, NuisanceFit(f(g), f(b), tag))
 
-    def b_pbr():
-        return shared("b_pbr", lambda: fit_weighted_outcome_lasso(data, g_pbr(), lam_beta))
 
-    def union(g, b):
-        return sorted(set(g().active_set) | set(b().active_set))
+# Each estimator of the suite by tag, computed from the nuisance-fit lookup.
+_ROSTER = {
+    "OR-OLS": lambda f, tag: or_estimate(f.data, f("b_ols"), tag),
+    "OR-LASSO": lambda f, tag: or_estimate(f.data, f("b_lasso"), tag),
+    "Pop-IPTW-MLE": lambda f, tag: pop_iptw_estimate(f.data, f("g_mle"), tag),
+    "Pop-IPTW-LASSO": lambda f, tag: pop_iptw_estimate(f.data, f("g_lasso"), tag),
+    "MLE": _dr("g_mle", "b_ols"),
+    "LASSO": _dr("g_lasso", "b_lasso"),
+    "Post-LASSO": _dr("g_post", "b_post"),
+    "DS-LASSO": _dr("g_ds", "b_ds"),
+    "P-BR": _dr("g_pbr", "b_pbr"),
+    "DS-P-BR": lambda f, tag: dr_estimate(
+        f.data, fit_br_refit(f.data, f.union("g_pbr", "b_pbr"), f.lam_gamma)
+    ),
+}
 
-    return {
-        "OR-OLS": lambda: or_estimate(data, b_ols(), "OR-OLS"),
-        "OR-LASSO": lambda: or_estimate(data, b_lasso(), "OR-LASSO"),
-        "Pop-IPTW-MLE": lambda: pop_iptw_estimate(data, g_mle(), "Pop-IPTW-MLE"),
-        "Pop-IPTW-LASSO": lambda: pop_iptw_estimate(data, g_lasso(), "Pop-IPTW-LASSO"),
-        "MLE": lambda: dr_estimate(data, NuisanceFit(g_mle(), b_ols(), "MLE")),
-        "LASSO": lambda: dr_estimate(data, NuisanceFit(g_lasso(), b_lasso(), "LASSO")),
-        "Post-LASSO": lambda: dr_estimate(
-            data,
-            NuisanceFit(
-                shared(
-                    "g_post",
-                    lambda: post_lasso_refit(data, g_lasso().active_set, "propensity"),
-                ),
-                shared(
-                    "b_post",
-                    lambda: post_lasso_refit(data, b_lasso().active_set, "outcome"),
-                ),
-                "Post-LASSO",
-            ),
-        ),
-        "DS-LASSO": lambda: dr_estimate(
-            data,
-            NuisanceFit(
-                shared(
-                    "g_ds",
-                    lambda: post_lasso_refit(data, union(g_lasso, b_lasso), "propensity"),
-                ),
-                shared(
-                    "b_ds",
-                    lambda: post_lasso_refit(data, union(g_lasso, b_lasso), "outcome"),
-                ),
-                "DS-LASSO",
-            ),
-        ),
-        "P-BR": lambda: dr_estimate(data, NuisanceFit(g_pbr(), b_pbr(), "P-BR")),
-        "DS-P-BR": lambda: dr_estimate(
-            data, fit_br_refit(data, union(g_pbr, b_pbr), lam_gamma)
-        ),
-    }
+# The ten estimators reported by the benchmark suite, in sorted output order.
+DEFAULT_ROSTER: Tuple[str, ...] = tuple(sorted(_ROSTER))
 
 
 def estimate_suite(
@@ -304,12 +276,11 @@ def estimate_suite(
     Nuisance fits shared between estimators are computed once.
     """
     tags = _resolve_tags(estimators)
-    lam_gamma, lam_beta = default_penalties(data.n, max(data.p, 1))
-    builders = _suite_builders(data, lam_gamma, lam_beta)
+    fits = _NuisanceFits(data)
     out: Dict[str, SuiteEntry] = {}
     for tag in tags:
         try:
-            out[tag] = SuiteEntry(result=builders[tag]())
+            out[tag] = SuiteEntry(result=_ROSTER[tag](fits, tag))
         except PbrdrError as exc:
             # A kept traceback would hold ``out`` and ``data`` in a reference
             # cycle; so would the exception a solver raised this one from.

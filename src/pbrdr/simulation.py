@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields
+from collections import Counter
+from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -222,7 +223,8 @@ def draw_dataset(
 
 @dataclass
 class MetricsRow:
-    """Monte Carlo summary for one estimator."""
+    """Monte Carlo summary for one estimator; ``failed_by_class`` splits
+    ``n_failed`` by exception class name."""
 
     bias: float
     rmse: float
@@ -231,6 +233,7 @@ class MetricsRow:
     asse: float
     cov: float
     n_failed: int = 0
+    failed_by_class: Dict[str, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -304,9 +307,9 @@ def run_monte_carlo(
     """Run ``spec.reps`` replications and aggregate per-estimator metrics.
 
     Replications where an estimator fails are excluded from that
-    estimator's metrics and counted in ``n_failed``. Aggregation folds in
-    replication-index order, so parallel and serial execution produce
-    identical tables.
+    estimator's metrics and counted in ``n_failed``, and by exception class
+    in ``failed_by_class``. Aggregation folds in replication-index order, so
+    parallel and serial execution produce identical tables.
     """
     tags = _resolve_tags(estimators)
     mu0 = build_model(spec).mu0
@@ -326,13 +329,15 @@ def run_monte_carlo(
     rows: Dict[str, MetricsRow] = {}
     for tag in tags:
         ok = [recs[tag][1:] for recs in results if recs[tag][0] == "ok"]
-        failed = len(results) - len(ok)
-        if not ok:
-            rows[tag] = MetricsRow(math.nan, math.nan, math.nan, math.nan, math.nan, math.nan, failed)
-            continue
-        mu, se, lo, hi = zip(*ok)
-        rows[tag] = compute_metrics(mu, se, [a <= mu0 <= b for a, b in zip(lo, hi)], mu0)
-        rows[tag].n_failed = failed
+        if ok:
+            mu, se, lo, hi = zip(*ok)
+            rows[tag] = compute_metrics(mu, se, [a <= mu0 <= b for a, b in zip(lo, hi)], mu0)
+        else:
+            rows[tag] = MetricsRow(*[math.nan] * 6)
+        rows[tag].n_failed = len(results) - len(ok)
+        rows[tag].failed_by_class = dict(
+            Counter(recs[tag][1] for recs in results if recs[tag][0] == "error")
+        )
     return MetricsTable(rows, mu0)
 
 

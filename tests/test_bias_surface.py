@@ -155,6 +155,15 @@ def test_surface_sample_without_treated_units_is_degenerate():
         evaluate_surface(SurfaceDgp("fig1", 2, 11), [0.0], [0.0])
 
 
+@pytest.mark.parametrize("seed", [3, 5])
+def test_surface_sample_without_control_units_is_degenerate(seed):
+    # at n_large 2 these seeds draw two treated units; the calibration loss of
+    # the BR reference then has no minimum, so no reference point exists
+    assert surface_dataset(SurfaceDgp("fig1", 2, seed)).a.sum() == 2.0
+    with pytest.raises(DegenerateData, match="control arm is empty"):
+        evaluate_surface(SurfaceDgp("fig1", 2, seed), [0.0], [0.0])
+
+
 def test_diverging_reference_fit_raises_without_overflow_warning():
     # the calibration slope of this ten-unit sample has no minimum; its Newton
     # iterate overflows the guard's sum of squares, which must stay silent

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import random_dataset, write_csv
 from pbrdr import ConfigError, estimate_one
-from pbrdr import cli
+from pbrdr import cli, solvers
 from pbrdr.cli import CsvSchema, load_csv_dataset, main
 
 
@@ -441,6 +441,23 @@ def test_simulate_ten_row_roster_and_determinism(tmp_path):
     assert "manifest.json" in {Path(p).name for p in manifest["output_files"]}
 
 
+def test_simulate_manifest_splits_failures_by_class(tmp_path, monkeypatch):
+    # one coordinate sweep cannot fit the lasso outcome models
+    monkeypatch.setattr(solvers, "DEFAULT_CD_SWEEPS", 1)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(SIM_CONFIG.replace("reps = 6", "reps = 3") + "estimators = LASSO,OR-OLS\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["statuses"] == {
+        "S1_uncorr_ORcorrect_PScorrect_n150_p15": {
+            "LASSO": {"n_failed": 3, "failed_by_class": {"NonConvergence": 3}},
+            "OR-OLS": {"n_failed": 0, "failed_by_class": {}},
+        }
+    }
+    rows = (tmp_path / "o" / "S1_uncorr_ORcorrect_PScorrect_n150_p15.csv").read_text().split("\n")
+    assert rows[1] == "LASSO,nan,nan,nan,nan,nan,nan,3"
+
+
 def test_simulate_unknown_estimator(tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(SIM_CONFIG + "estimators = P-BR,NOPE\n")
@@ -577,6 +594,28 @@ def test_bias_surface_without_treated_units_exits_3(tmp_path, capsys):
     assert code == 3
     assert "DegenerateData" in capsys.readouterr().err
     assert not (tmp_path / "fig1_surface.csv").exists()
+
+
+def test_failed_bias_surface_manifest_names_the_error(tmp_path):
+    proc = run_cli("bias-surface", "--variant", "fig1", "--gamma-range=0:1:1",
+                   "--beta-range=0:0:1", "--n-large", "2", "--seed", "11", "--out", str(tmp_path))
+    assert proc.returncode == 3
+    manifest = json.loads((tmp_path / "fig1_manifest.json").read_text())
+    assert set(manifest) == MANIFEST_KEYS
+    error = manifest["statuses"]["error"]
+    assert error["class"] == "DegenerateData"
+    assert "treated arm is empty" in error["message"]
+    assert set(manifest["stage_s"]) == {"evaluate"}
+    assert {Path(p).name for p in manifest["output_files"]} == {"fig1_manifest.json"}
+
+
+@pytest.mark.parametrize("seed", [3, 5])
+def test_bias_surface_without_control_units_exits_3(tmp_path, capsys, seed):
+    code = main(["bias-surface", "--variant", "fig1", "--gamma-range=0:1:1", "--beta-range=0:0:1",
+                 "--n-large", "2", "--seed", str(seed), "--out", str(tmp_path)])
+    assert code == 3
+    assert "control arm is empty" in capsys.readouterr().err
+    assert not (tmp_path / "fig1_surface_references.csv").exists()
 
 
 @pytest.mark.parametrize("gamma_range", ["nan:1:0.5", "0:1:nan", "0:inf:1", "0:1:inf"])
