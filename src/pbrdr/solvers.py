@@ -16,12 +16,12 @@ ridge-stabilised double-selection system) and the default penalty formulas.
 Every fitter returns a :class:`Coefficients` (``fit_br_refit`` a
 :class:`NuisanceFit` holding two of them).
 
-Three engines solve them: accelerated proximal gradient for the penalised
-propensity losses, coordinate descent for the penalised squared losses, and
-damped Newton for the smooth unpenalized ones. Each engine returns ``(x,
-kkt, iterations)``. Every penalised fit runs its engine under one
-working-set loop, :func:`_working_set`: each pass solves on the working
-set's columns only (for coordinate descent, on their Gram matrix only),
+Two iterative engines solve them, each returning ``(x, kkt, iterations)``:
+accelerated proximal gradient for the two penalised propensity losses, and
+damped Newton for every fit with a Hessian (the two outcome lassos, the
+logistic MLE, the ridge-stabilised refit and the bias-surface reference
+slopes). Every penalised fit runs its engine under one working-set loop,
+:func:`_working_set`: each pass solves on the working set's columns only,
 then checks the other coordinates' KKT conditions with the full design's
 gradient and adds every violator, so a fit returns only when the full
 design's KKT residual meets the tolerance. This is the KKT re-check of
@@ -41,10 +41,10 @@ Conventions shared by every fitter:
   apply to coefficients on the unit-SD scale; reported KKT residuals live on
   that scale, which is the scale of the problem actually solved;
 * the fitters and Newton read the tolerance ``DEFAULT_TOL`` and the
-  iteration budgets ``DEFAULT_PROX_ITER``, ``DEFAULT_CD_SWEEPS`` and
-  ``DEFAULT_NEWTON_ITER`` at call time; the penalised budgets are shared by
-  all passes of a fit, and its ``n_iter`` is their total; a spent budget
-  raises :class:`NonConvergence`, never a partial result;
+  iteration budgets ``DEFAULT_PROX_ITER`` and ``DEFAULT_NEWTON_ITER`` at
+  call time; a penalised fit's budget is shared by all its passes, and its
+  ``n_iter`` is their total; a spent budget raises :class:`NonConvergence`,
+  never a partial result;
 * all score/KKT residuals are on the mean scale, i.e. ``(1/n) sum_i ...``;
 * solvers are pure functions of their inputs: no internal randomness.
 """
@@ -77,7 +77,6 @@ NORM_GUARD = 1e4
 
 DEFAULT_TOL = 1e-8
 DEFAULT_PROX_ITER = 10_000
-DEFAULT_CD_SWEEPS = 100_000
 DEFAULT_NEWTON_ITER = 200
 
 
@@ -207,21 +206,24 @@ def _embed(fit: Coefficients, index: list[int], dim: int) -> Coefficients:
     return replace(fit, coef=coef)
 
 
-def _kkt_sup_norm(grad: np.ndarray, coef: np.ndarray, lam: float) -> float:
-    """Sup-norm violation of the l1 subgradient stationarity conditions.
-
-    The intercept (coordinate 0) must have a vanishing score; penalized
-    nonzero coordinates must have score equal to ``-lam * sign``; penalized
-    zero coordinates must have ``|score| <= lam``.
-    """
-    g, c = grad[1:], coef[1:]
-    viol = np.abs(grad)
-    viol[1:] = np.where(c != 0.0, np.abs(g + lam * np.sign(c)), np.maximum(np.abs(g) - lam, 0.0))
-    return float(viol.max())
+def _min_norm_subgradient(grad: np.ndarray, coef: np.ndarray, lam: float) -> np.ndarray:
+    """Minimum-norm subgradient of the smooth part plus ``lam * ||coef[1:]||_1``:
+    the score at the intercept (coordinate 0), plus ``lam * sign`` at nonzero
+    coordinates and soft-thresholded by ``lam`` at zero ones. It vanishes
+    exactly at a minimum; its sup-norm is every engine's KKT residual."""
+    sub = grad.copy()
+    c = coef[1:]
+    sub[1:] = np.where(c != 0.0, grad[1:] + lam * np.sign(c), _soft_threshold(grad[1:], lam))
+    return sub
 
 
 def _soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+
+
+def _l1(v: np.ndarray, lam: float) -> float:
+    """The penalty ``lam * ||v[1:]||_1``; exactly 0 without one."""
+    return lam * float(np.abs(v[1:]).sum()) if lam else 0.0
 
 
 def _least_squares(z: np.ndarray, w: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int, float]:
@@ -285,11 +287,8 @@ def _prox_gradient(value_grad, x0, lam, tol, max_iter):
     if not np.isfinite(fx):
         raise ValueError("objective is not finite at the starting point")
 
-    def pen(v: np.ndarray) -> float:
-        return lam * float(np.abs(v[1:]).sum())
-
-    big_f = fx + pen(x)
-    kkt = _kkt_sup_norm(gx, x, lam)
+    big_f = fx + _l1(x, lam)
+    kkt = float(np.max(np.abs(_min_norm_subgradient(gx, x, lam))))
     if kkt <= tol:
         return x, kkt, 0
 
@@ -307,7 +306,7 @@ def _prox_gradient(value_grad, x0, lam, tol, max_iter):
             if not np.isfinite(fy):
                 y, fy, gy = x, fx, gx
         z, fz, gz, step = _backtrack(value_grad, y, fy, gy, step, lam)
-        big_fz = fz + pen(z)
+        big_fz = fz + _l1(z, lam)
         # Near the optimum the objective's rounding outgrows its decrease, so
         # the momentum step is judged with the line search's slack; an exact
         # test there restarts the momentum at random and stalls the solve.
@@ -319,7 +318,7 @@ def _prox_gradient(value_grad, x0, lam, tol, max_iter):
             # restart the momentum. The next test compares with the value at
             # the new x, even where rounding within the slack raised it.
             z, fz, gz, step = _backtrack(value_grad, x, fx, gx, step, lam)
-            big_fz = fz + pen(z)
+            big_fz = fz + _l1(z, lam)
             x_prev, x, fx, gx, big_f = x, z, fz, gz, big_fz
             t_mom = 1.0
         if big_f < bound:
@@ -333,55 +332,11 @@ def _prox_gradient(value_grad, x0, lam, tol, max_iter):
                 "iterate norm exceeded the divergence guard; the objective has no minimum "
                 "(e.g. separable treatment with lambda = 0)"
             )
-        kkt = _kkt_sup_norm(gx, x, lam)
+        kkt = float(np.max(np.abs(_min_norm_subgradient(gx, x, lam))))
         if kkt <= tol:
             return x, kkt, it
     raise NonConvergence(
         f"proximal gradient spent its budget with kkt residual {kkt:.3e} > tol {tol:.1e}"
-    )
-
-
-# ---------------------------------------------------------------------------
-# coordinate descent engine (weighted quadratic + l1)
-# ---------------------------------------------------------------------------
-
-
-def _cd_quadratic(gram, lin, lam, x0, tol, max_sweeps):
-    """Cyclic coordinate descent with exact updates for
-    ``0.5 x'Gx - c'x + lam * ||x[1:]||_1``.
-
-    ``gram``/``lin`` are on the mean scale, so the stationarity system is the
-    mean-scale estimating equation. Stops when the KKT sup-norm residual
-    falls to ``tol``, within ``max_sweeps`` sweeps. Returns (x, kkt, sweeps).
-    """
-    x = np.array(x0, dtype=float)
-    dim = x.shape[0]
-    diag = np.diag(gram).copy()
-    u = gram @ x
-    kkt = _kkt_sup_norm(u - lin, x, lam)
-    if kkt <= tol:
-        return x, kkt, 0
-    for sweep in range(1, max_sweeps + 1):
-        for j in range(dim):
-            if diag[j] <= 0.0:
-                continue
-            rho = lin[j] - u[j] + diag[j] * x[j]
-            if j:
-                new = math.copysign(max(abs(rho) - lam, 0.0), rho) / diag[j]
-            else:
-                new = rho / diag[j]
-            if abs(new) < ZERO_SNAP:
-                new = 0.0
-            delta = new - x[j]
-            if delta != 0.0:
-                u += gram[:, j] * delta
-                x[j] = new
-        u = gram @ x  # refresh to cancel incremental drift
-        kkt = _kkt_sup_norm(u - lin, x, lam)
-        if kkt <= tol:
-            return x, kkt, sweep
-    raise NonConvergence(
-        f"coordinate descent spent its budget with kkt residual {kkt:.3e} > tol {tol:.1e}"
     )
 
 
@@ -393,20 +348,20 @@ def _cd_quadratic(gram, lin, lam, x0, tol, max_sweeps):
 def _working_set(solve, x0, lam, floor, budget):
     """Solve an l1-penalised problem on a growing set of design columns.
 
-    ``solve(idx, x_idx, tol, budget)`` runs a penalised engine on the columns
-    ``idx`` only, warm-started at ``x_idx``, to the KKT residual ``tol``
-    within ``budget`` iterations, and returns ``(x_idx, kkt, iterations,
-    grad)`` with ``grad`` the full design's gradient at its result. The set
-    starts with the intercept and the nonzero coordinates, and the intercept
-    stays its first coordinate. After each pass, the zero coordinates outside
-    the set are checked against the full gradient: the KKT residual is the
-    larger of the pass's and their excess of ``|grad_j|`` over ``lam``.
-    Above ``floor``, every coordinate with an excess joins, and the next
-    pass is solved to a tenth of the largest excess (never below ``floor``),
-    so a pass on a set that will still grow stays cheap (Massias, Gramfort &
-    Salmon 2018), and a pass with nothing left to add goes to ``floor`` at
-    once. All passes share one budget. Returns (x, kkt, iterations) as the
-    engines do, with the iterations summed over the passes.
+    ``solve(idx, x_idx, tol, budget)`` runs an engine on the columns ``idx``
+    only (proximal gradient, or Newton on their Gram matrix), warm-started at
+    ``x_idx``, to the KKT residual ``tol`` within ``budget`` iterations, and
+    returns ``(x_idx, kkt, iterations, grad)``, ``grad`` the full design's
+    gradient at its result. The set starts with the intercept (its first
+    coordinate) and the nonzero coordinates. After each pass, the zero
+    coordinates outside the set are checked against the full gradient: the
+    KKT residual is the larger of the pass's and their excess of ``|grad_j|``
+    over ``lam``. Above ``floor``, every coordinate with an excess joins, and
+    the next pass is solved to a tenth of the largest excess (never below
+    ``floor``), so a pass on a set that will still grow stays cheap (Massias,
+    Gramfort & Salmon 2018), and a pass with nothing left to add goes to
+    ``floor`` at once. All passes share one budget. Returns (x, kkt,
+    iterations) as the engines do, with the iterations summed over the passes.
     """
     x = np.array(x0, dtype=float)
     working = x != 0.0
@@ -435,44 +390,75 @@ def _working_set(solve, x0, lam, floor, budget):
 
 
 # ---------------------------------------------------------------------------
-# damped Newton engine (smooth strictly convex problems)
+# damped Newton engine (convex problems with a Hessian, plus an optional l1)
 # ---------------------------------------------------------------------------
 
 
-def _newton(value_grad, hess, x0, divergence_error: Exception, norm_guard: float = NORM_GUARD):
-    """Damped Newton with backtracking; ``value_grad`` as for the proximal engine,
-    ``hess`` evaluated at accepted iterates only. Stops when the gradient's
-    sup-norm reaches ``DEFAULT_TOL``; an iterate norm above ``norm_guard``
-    raises ``divergence_error``. Returns (x, residual, iterations)."""
-    tol, max_iter = DEFAULT_TOL, DEFAULT_NEWTON_ITER
+def _newton(
+    value_grad, hess, x0, divergence_error=None, norm_guard=NORM_GUARD, lam=0.0, tol=None, max_iter=None
+):
+    """Damped Newton with backtracking for a smooth convex part plus
+    ``lam * ||x[1:]||_1``; ``value_grad`` as for the proximal engine, ``hess``
+    evaluated at accepted iterates only. Stops at the KKT residual ``tol``
+    (``DEFAULT_TOL``) within ``max_iter`` iterations (``DEFAULT_NEWTON_ITER``);
+    with a ``divergence_error``, an iterate norm above ``norm_guard`` raises
+    it. Returns (x, residual, iterations).
+
+    At ``lam == 0`` each step is the plain Newton step on every coordinate.
+    At ``lam > 0`` it is the orthant-wise step of Andrew & Gao (2007), exact
+    for a quadratic on a fixed sign pattern: the system holds the intercept
+    and each nonzero or KKT-violating coordinate, its diagonal raised by 1e-6
+    of its mean (a set larger than the weighted rows is singular); a zero
+    coordinate moves only along its descent sign, one that would cross zero
+    stops there, and the sufficient-decrease test is on the composite
+    objective, with the rounding slack of :func:`_backtrack`.
+    """
+    tol = DEFAULT_TOL if tol is None else tol
+    max_iter = DEFAULT_NEWTON_ITER if max_iter is None else max_iter
     x = np.array(x0, dtype=float)
     f, g = value_grad(x)
     if not np.isfinite(f):
         raise ValueError("objective is not finite at the starting point")
+    big_f = f + _l1(x, lam)
     for it in range(max_iter + 1):
-        res = float(np.max(np.abs(g))) if g.size else 0.0
+        sub = _min_norm_subgradient(g, x, lam)
+        res = float(np.max(np.abs(sub)))
         if res <= tol:
             return x, res, it
         if it == max_iter:
             raise NonConvergence(
                 f"Newton hit max_iter={max_iter} with residual {res:.3e} > tol {tol:.1e}"
             )
+        h, free = hess(x), slice(None)
+        if lam:
+            free = np.flatnonzero((x != 0.0) | (sub != 0.0) | (np.arange(x.size) == 0))
+            h = h[np.ix_(free, free)]
+            h[np.diag_indices(free.size)] += 1e-6 * float(np.mean(np.diag(h)))
+        direction = np.zeros_like(x)
         try:
-            direction = np.linalg.solve(hess(x), -g)
+            direction[free] = np.linalg.solve(h, -sub[free])
         except np.linalg.LinAlgError as exc:
             raise RankDeficient("singular Hessian in Newton solve") from exc
-        slope = float(g @ direction)
+        if lam:
+            direction[1:][(x[1:] == 0.0) & (direction[1:] * sub[1:] > 0.0)] = 0.0
+        slack = 16.0 * np.finfo(float).eps * (1.0 + abs(big_f))
         step = 1.0
         while True:
             x_new = x + step * direction
+            if lam:
+                x_new[1:][(x_new[1:] * x[1:] < 0.0) | (np.abs(x_new[1:]) < ZERO_SNAP)] = 0.0
+                bound = big_f + 1e-4 * float(sub @ (x_new - x)) + slack
+            else:
+                bound = big_f + 1e-4 * step * float(sub @ direction)
             f_new, g_new = value_grad(x_new)
-            if np.isfinite(f_new) and f_new <= f + 1e-4 * step * slope:
+            big_f_new = f_new + _l1(x_new, lam)
+            if np.isfinite(f_new) and big_f_new <= bound:
                 break
             step *= 0.5
             if step < 1e-16:
                 raise NonConvergence("Newton line search stalled")
-        x, f, g = x_new, f_new, g_new
-        if _iterate_norm(x) > norm_guard:
+        x, g, big_f = x_new, g_new, big_f_new
+        if divergence_error is not None and _iterate_norm(x) > norm_guard:
             raise divergence_error
 
 
@@ -645,9 +631,8 @@ def _weighted_lasso(data: Dataset, weights: np.ndarray, lam: float) -> Coefficie
     minimum-norm solution of :func:`_least_squares`, the solve :func:`fit_ols`
     also uses; its normal-equation residual, on the 1/n mean scale, must be
     within ``DEFAULT_TOL`` relative to ``max|z'Wy| / n``. Otherwise
-    coordinate descent under :func:`_working_set` performs exact coordinate
-    updates on the Gram matrix of the working set only, so the cost per pass
-    is O(n p) plus the working set's, never O(n p^2).
+    :func:`_newton` runs under :func:`_working_set` on the working set's Gram
+    matrix only, so a pass costs O(n p) plus the working set's, never O(n p^2).
     """
     n = data.n
     z, scales = _standardized_design(data)
@@ -670,15 +655,20 @@ def _weighted_lasso(data: Dataset, weights: np.ndarray, lam: float) -> Coefficie
 
     def solve(idx, x_idx, tol, budget):
         zw = z[:, idx]
-        gram = (zw * weights[:, None]).T @ zw / n
-        x_idx, kkt, done = _cd_quadratic(gram, lin[idx], lam, x_idx, tol, budget)
+        gram, lin_w = (zw * weights[:, None]).T @ zw / n, lin[idx]
+
+        def value_grad(b):
+            gb = gram @ b
+            return 0.5 * float(b @ gb) - float(lin_w @ b), gb - lin_w
+
+        x_idx, kkt, done = _newton(value_grad, lambda b: gram, x_idx, lam=lam, tol=tol, max_iter=budget)
         return x_idx, kkt, done, z.T @ (weights * (zw @ x_idx)) / n - lin
 
     # Below 64 ulps of max|lin| the residual is float noise in the units of y.
     floor = max(DEFAULT_TOL, 64.0 * np.finfo(float).eps * float(np.max(np.abs(lin))))
-    coef, kkt, sweeps = _working_set(solve, x0, lam, floor, DEFAULT_CD_SWEEPS)
+    coef, kkt, n_iter = _working_set(solve, x0, lam, floor, DEFAULT_NEWTON_ITER)
     beta = _back_transform(coef, scales)
-    return Coefficients(beta, lam, kkt, sweeps)
+    return Coefficients(beta, lam, kkt, n_iter)
 
 
 def fit_weighted_outcome_lasso(

@@ -442,8 +442,8 @@ def test_simulate_ten_row_roster_and_determinism(tmp_path):
 
 
 def test_simulate_manifest_splits_failures_by_class(tmp_path, monkeypatch):
-    # one coordinate sweep cannot fit the lasso outcome models
-    monkeypatch.setattr(solvers, "DEFAULT_CD_SWEEPS", 1)
+    # one Newton iteration cannot fit the lasso outcome models
+    monkeypatch.setattr(solvers, "DEFAULT_NEWTON_ITER", 1)
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(SIM_CONFIG.replace("reps = 6", "reps = 3") + "estimators = LASSO,OR-OLS\n")
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0

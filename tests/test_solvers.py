@@ -93,6 +93,20 @@ def l1_violation(score: np.ndarray, coef: np.ndarray, lam: float) -> float:
     return max(out)
 
 
+def coordinate_descent(gram, lin, lam, x, tol=1e-12):
+    """Minimiser of ``0.5 x'Gx - lin'x + lam * ||x[1:]||_1`` by plain cyclic
+    coordinate descent on the dense ``gram``, run to the KKT residual ``tol``."""
+    x = x.copy()
+    for _ in range(100_000):
+        if l1_violation(gram @ x - lin, x, lam) <= tol:
+            return x
+        for j in range(x.size):
+            rho = lin[j] - gram[j] @ x + gram[j, j] * x[j]
+            shrunk = rho if j == 0 else math.copysign(max(abs(rho) - lam, 0.0), rho)
+            x[j] = shrunk / gram[j, j]
+    raise AssertionError("reference coordinate descent did not converge")
+
+
 # ---------------------------------------------------------------------------
 # default penalties
 # ---------------------------------------------------------------------------
@@ -364,7 +378,7 @@ def _outcome_lasso_case(p, weighted):
 @pytest.mark.parametrize("weighted", [True, False], ids=["weighted", "linear"])
 @pytest.mark.parametrize("p", [400, 40])
 def test_working_set_lasso_matches_dense_coordinate_descent(p, weighted):
-    from pbrdr.solvers import DEFAULT_CD_SWEEPS, DEFAULT_TOL, _cd_quadratic
+    from pbrdr.solvers import DEFAULT_TOL
 
     data, weights, lam, fit = _outcome_lasso_case(p, weighted)
     # the same problem on the full dense Gram matrix, standardized independently
@@ -374,7 +388,7 @@ def test_working_set_lasso_matches_dense_coordinate_descent(p, weighted):
     lin = z.T @ (weights * data.y) / data.n
     x0 = np.zeros(p + 1)
     x0[0] = lin[0] / gram[0, 0]
-    dense, _, _ = _cd_quadratic(gram, lin, lam, x0, DEFAULT_TOL, DEFAULT_CD_SWEEPS)
+    dense = coordinate_descent(gram, lin, lam, x0)
     coef_std = fit.coef.copy()
     coef_std[1:] *= scales
     assert np.max(np.abs(coef_std - dense)) <= 1e-7
@@ -388,9 +402,67 @@ def test_working_set_lasso_matches_dense_coordinate_descent(p, weighted):
 @pytest.mark.parametrize("weighted", [True, False], ids=["weighted", "linear"])
 def test_working_set_lasso_budget_exhaustion(weighted, monkeypatch):
     assert _outcome_lasso_case(400, weighted)[3].n_iter > 1
-    monkeypatch.setattr(solvers, "DEFAULT_CD_SWEEPS", 1)
+    monkeypatch.setattr(solvers, "DEFAULT_NEWTON_ITER", 1)
     with pytest.raises(NonConvergence):
         _outcome_lasso_case(400, weighted)
+
+
+@given(
+    st.integers(min_value=30, max_value=80),
+    st.integers(min_value=2, max_value=120),
+    st.floats(min_value=0.05, max_value=0.9),
+    st.floats(min_value=0.0, max_value=6.0),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_screened_outcome_lasso_matches_coordinate_descent(n, p, frac, log_scale, weighted, seed):
+    # p ranges past the treated count, the level over most of the lasso path
+    # and the outcome scale from 1 to 1e6; the working-set Newton solve must
+    # find the dense reference's support and coefficients
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, p))
+    a = np.zeros(n)
+    a[rng.permutation(n)[: n // 2]] = 1.0
+    y = 10.0**log_scale * (x[:, 0] - 0.5 * x[:, -1] + rng.standard_normal(n))
+    weights = a * rng.uniform(0.2, 5.0, n) if weighted else a
+    data = Dataset(y, a, x)
+    scales = np.std(x, axis=0, ddof=1)
+    z = np.hstack([np.ones((n, 1)), x / scales])
+    gram = (z * weights[:, None]).T @ z / n
+    lin = z.T @ (weights * y) / n
+    x0 = np.zeros(p + 1)
+    x0[0] = lin[0] / gram[0, 0]
+    lam = frac * float(np.max(np.abs(gram[1:, 0] * x0[0] - lin[1:])))
+    fit = solvers._weighted_lasso(data, weights, lam)
+    # float resolution, and so each tolerance, is relative to the units of y
+    ref_tol = 1e-12 * max(1.0, float(np.max(np.abs(lin))))
+    ref = coordinate_descent(gram, lin, lam, x0, ref_tol)
+    coef_std = fit.coef.copy()
+    coef_std[1:] *= scales
+    assert fit.active_set == tuple(int(j) + 1 for j in np.flatnonzero(ref[1:]))
+    # On one support and sign pattern the coefficient gap is the active Gram
+    # matrix's inverse times the gap of the two KKT residuals, so near
+    # interpolation it may exceed 1e-7 of the coefficients' scale by that much.
+    active = np.flatnonzero(ref)
+    eig_min = np.linalg.eigvalsh(gram[np.ix_(active, active)])[0]
+    allowed = np.sqrt(active.size) * (fit.kkt_residual + ref_tol) / eig_min
+    scale = max(1.0, float(np.max(np.abs(ref))))
+    assert np.max(np.abs(coef_std - ref)) <= max(1e-7 * scale, allowed)
+    floor = max(solvers.DEFAULT_TOL, 64.0 * np.finfo(float).eps * float(np.max(np.abs(lin))))
+    assert fit.kkt_residual <= floor
+    assert l1_violation(z.T @ (weights * (z @ coef_std - y)) / n, coef_std, lam) <= floor
+
+
+def test_outcome_lasso_near_interpolation_stops_within_its_budget():
+    # y x 1e3 leaves the absolute penalty far below the outcome's scale, so at
+    # p >> n the fit is near interpolation and does not converge; it must spend
+    # its Newton budget in seconds and name the working set it stalled on
+    spec = ScenarioSpec("S1", 200, 1000, False, True, True, reps=1, seed=0)
+    data = draw_dataset(build_model(spec), 200, 1000, False, np.random.default_rng([0, 200, 1000, 9]))
+    data = Dataset(data.y * 1e3, data.a, data.x)
+    lam = default_penalties(data.n, data.p)[1] * data.n_treated / data.n
+    with pytest.raises(NonConvergence, match="on a working set of"):
+        fit_linear_lasso(data, lam)
 
 
 def _propensity_lasso_case(p, fitter):
@@ -540,6 +612,30 @@ def test_logistic_mle_constant_covariate_is_rank_deficient():
     x[:, 3] = 2.5
     with pytest.raises(RankDeficient):
         fit_logistic_mle(Dataset(data.y, data.a, x))
+
+
+def test_logistic_mle_is_plain_newton_on_a_balanced_sample():
+    # exactly half the units treated: the intercept's score is exactly 0 at the
+    # start, and the unpenalized engine must still take every full Newton step
+    # on every coordinate, bit for bit
+    rng = np.random.default_rng(3)
+    n, p = 120, 4
+    a = np.zeros(n)
+    a[rng.permutation(n)[: n // 2]] = 1.0
+    data = Dataset(rng.standard_normal(n), a, rng.standard_normal((n, p)))
+    fit = fit_logistic_mle(data)
+    z, scales = solvers._standardized_design(data)
+    coef = np.zeros(p + 1)
+    for it in range(solvers.DEFAULT_NEWTON_ITER):
+        pi = solvers.expit(z @ coef)
+        grad = z.T @ (pi - a) / n
+        assert it or grad[0] == 0.0
+        if np.max(np.abs(grad)) <= solvers.DEFAULT_TOL:
+            break
+        coef = coef + np.linalg.solve((z * (pi * (1.0 - pi))[:, None]).T @ z / n, -grad)
+    assert fit.n_iter == it > 1
+    assert np.array_equal(fit.coef[0], coef[0])
+    assert np.array_equal(fit.coef[1:], coef[1:] / scales)
 
 
 def test_logistic_lasso_full_shrinkage(dataset):
