@@ -16,35 +16,32 @@ ridge-stabilised double-selection system) and the default penalty formulas.
 Every fitter returns a :class:`Coefficients` (``fit_br_refit`` a
 :class:`NuisanceFit` holding two of them).
 
-Two iterative engines solve them, each returning ``(x, kkt, iterations)``:
-accelerated proximal gradient for the two penalised propensity losses, and
-damped Newton for every fit with a Hessian (the two outcome lassos, the
-logistic MLE, the ridge-stabilised refit and the bias-surface reference
-slopes). Every penalised fit runs its engine under one working-set loop,
-:func:`_working_set`: each pass solves on the working set's columns only,
-then checks the other coordinates' KKT conditions with the full design's
-gradient and adds every violator, so a fit returns only when the full
-design's KKT residual meets the tolerance. This is the KKT re-check of
-Tibshirani et al. (2012) without their strong rule, which at the default
-penalties keeps every column. The unpenalized squared losses (OLS, the
-post-selection outcome refits and the bias-reduced outcome equations) share
-one weighted least-squares solve, :func:`_least_squares`.
+One iterative engine, damped Newton with orthant-wise steps under an l1
+penalty (:func:`_newton`, returning ``(x, kkt, iterations)``), solves every
+fit but the unpenalized squared losses. Each penalised fit runs it under one
+working-set loop, :func:`_working_set`: each pass solves on the working
+set's columns only, then checks the other coordinates' KKT conditions with
+the full design's gradient and adds every violator, so a fit returns only
+when the full design's KKT residual meets the tolerance. This is the KKT
+re-check of Tibshirani et al. (2012) without their strong rule, which at the
+default penalties keeps every column. The unpenalized squared losses (OLS,
+the post-selection outcome refits and the bias-reduced outcome equations)
+share one weighted least-squares solve, :func:`_least_squares`.
 
 Conventions shared by every fitter:
 
 * designs carry a leading intercept column; coordinate 0, the intercept, is
-  the only unpenalized coordinate of every penalised engine;
+  the only unpenalized coordinate of every penalised fit;
 * the standardized design is built once per :class:`Dataset` and cached on it;
 * covariates are always rescaled to unit sample standard deviation before
   fitting, as in glmnet, and coefficients mapped back afterwards, so the
   ``lam * ||.||_1`` penalties (and the ridge term of :func:`fit_br_refit`)
   apply to coefficients on the unit-SD scale; reported KKT residuals live on
   that scale, which is the scale of the problem actually solved;
-* the fitters and Newton read the tolerance ``DEFAULT_TOL`` and the
-  iteration budgets ``DEFAULT_PROX_ITER`` and ``DEFAULT_NEWTON_ITER`` at
-  call time; a penalised fit's budget is shared by all its passes, and its
-  ``n_iter`` is their total; a spent budget raises :class:`NonConvergence`,
-  never a partial result;
+* the fitters and Newton read the tolerance ``DEFAULT_TOL`` and the one
+  iteration budget ``DEFAULT_NEWTON_ITER`` at call time; a penalised fit's
+  budget is shared by all its passes, and its ``n_iter`` is their total; a
+  spent budget raises :class:`NonConvergence`, never a partial result;
 * all score/KKT residuals are on the mean scale, i.e. ``(1/n) sum_i ...``;
 * solvers are pure functions of their inputs: no internal randomness.
 """
@@ -76,7 +73,6 @@ ZERO_SNAP = 1e-14
 NORM_GUARD = 1e4
 
 DEFAULT_TOL = 1e-8
-DEFAULT_PROX_ITER = 10_000
 DEFAULT_NEWTON_ITER = 200
 
 
@@ -210,15 +206,11 @@ def _min_norm_subgradient(grad: np.ndarray, coef: np.ndarray, lam: float) -> np.
     """Minimum-norm subgradient of the smooth part plus ``lam * ||coef[1:]||_1``:
     the score at the intercept (coordinate 0), plus ``lam * sign`` at nonzero
     coordinates and soft-thresholded by ``lam`` at zero ones. It vanishes
-    exactly at a minimum; its sup-norm is every engine's KKT residual."""
+    exactly at a minimum; its sup-norm is the KKT residual of every fit."""
     sub = grad.copy()
-    c = coef[1:]
-    sub[1:] = np.where(c != 0.0, grad[1:] + lam * np.sign(c), _soft_threshold(grad[1:], lam))
+    g, c = grad[1:], coef[1:]
+    sub[1:] = np.where(c != 0.0, g + lam * np.sign(c), np.sign(g) * np.maximum(np.abs(g) - lam, 0.0))
     return sub
-
-
-def _soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
 def _l1(v: np.ndarray, lam: float) -> float:
@@ -243,125 +235,27 @@ def _least_squares(z: np.ndarray, w: np.ndarray, y: np.ndarray) -> tuple[np.ndar
 
 
 # ---------------------------------------------------------------------------
-# proximal gradient engine (smooth convex + l1)
-# ---------------------------------------------------------------------------
-
-
-def _backtrack(value_grad, y, fy, gy, step, lam):
-    """One backtracking proximal step from ``y``; returns (z, fz, gz, step).
-
-    The sufficient-decrease test carries a float-resolution slack so that
-    evaluation noise near the optimum cannot drive the step size to zero.
-    """
-    slack = 16.0 * np.finfo(float).eps * (1.0 + abs(fy))
-    while True:
-        z = y - step * gy
-        z[1:] = _soft_threshold(z[1:], step * lam)
-        z[np.abs(z) < ZERO_SNAP] = 0.0
-        fz, gz = value_grad(z)
-        d = z - y
-        if np.isfinite(fz) and fz <= fy + float(gy @ d) + 0.5 * float(d @ d) / step + slack:
-            return z, fz, gz, step
-        step *= 0.5
-        if step < 1e-18:
-            raise NonConvergence("proximal line search stalled; no further progress possible")
-
-
-def _prox_gradient(value_grad, x0, lam, tol, max_iter):
-    """Monotone accelerated proximal gradient with backtracking line search
-    for the smooth part plus ``lam * ||x[1:]||_1``.
-
-    ``value_grad(x)`` returns ``(value, gradient)`` of the smooth part on the
-    mean scale (gradient may be None when the value is not finite). Momentum
-    steps are accepted only when they do not increase the composite objective.
-    Stops when the KKT sup-norm residual falls to ``tol``, within ``max_iter``
-    iterations; the fitters run it under :func:`_working_set`, which sets
-    both. Returns (x, kkt, iterations). Two checks raise
-    :class:`UnboundedObjective`: a composite objective below
-    ``value_grad.lower_bound`` (when the closure has one), which no problem
-    with a minimum reaches, and an iterate norm above ``NORM_GUARD``.
-    """
-    bound = getattr(value_grad, "lower_bound", -math.inf)
-    x = np.array(x0, dtype=float)
-    fx, gx = value_grad(x)
-    if not np.isfinite(fx):
-        raise ValueError("objective is not finite at the starting point")
-
-    big_f = fx + _l1(x, lam)
-    kkt = float(np.max(np.abs(_min_norm_subgradient(gx, x, lam))))
-    if kkt <= tol:
-        return x, kkt, 0
-
-    x_prev = x
-    t_mom = 1.0
-    step = 1.0
-    for it in range(1, max_iter + 1):
-        step = min(step * 1.25, 1e12)
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))
-        if x_prev is x:
-            y, fy, gy = x, fx, gx
-        else:
-            y = x + ((t_mom - 1.0) / t_next) * (x - x_prev)
-            fy, gy = value_grad(y)
-            if not np.isfinite(fy):
-                y, fy, gy = x, fx, gx
-        z, fz, gz, step = _backtrack(value_grad, y, fy, gy, step, lam)
-        big_fz = fz + _l1(z, lam)
-        # Near the optimum the objective's rounding outgrows its decrease, so
-        # the momentum step is judged with the line search's slack; an exact
-        # test there restarts the momentum at random and stalls the solve.
-        if big_fz <= big_f + 16.0 * np.finfo(float).eps * (1.0 + abs(big_f)):
-            x_prev, x, fx, gx, big_f = x, z, fz, gz, big_fz
-            t_mom = t_next
-        else:
-            # Momentum overshot: take a plain proximal step from x instead and
-            # restart the momentum. The next test compares with the value at
-            # the new x, even where rounding within the slack raised it.
-            z, fz, gz, step = _backtrack(value_grad, x, fx, gx, step, lam)
-            big_fz = fz + _l1(z, lam)
-            x_prev, x, fx, gx, big_f = x, z, fz, gz, big_fz
-            t_mom = 1.0
-        if big_f < bound:
-            raise UnboundedObjective(
-                f"objective {big_f:.4g} fell below {bound:.4g}, the least value it can take "
-                "at a minimum; the objective has no minimum (no treated reweighting "
-                "balances the controls to within lambda)"
-            )
-        if _iterate_norm(x) > NORM_GUARD:
-            raise UnboundedObjective(
-                "iterate norm exceeded the divergence guard; the objective has no minimum "
-                "(e.g. separable treatment with lambda = 0)"
-            )
-        kkt = float(np.max(np.abs(_min_norm_subgradient(gx, x, lam))))
-        if kkt <= tol:
-            return x, kkt, it
-    raise NonConvergence(
-        f"proximal gradient spent its budget with kkt residual {kkt:.3e} > tol {tol:.1e}"
-    )
-
-
-# ---------------------------------------------------------------------------
-# working-set loop (every penalised engine runs under it)
+# working-set loop (every penalised fit runs under it)
 # ---------------------------------------------------------------------------
 
 
 def _working_set(solve, x0, lam, floor, budget):
     """Solve an l1-penalised problem on a growing set of design columns.
 
-    ``solve(idx, x_idx, tol, budget)`` runs an engine on the columns ``idx``
-    only (proximal gradient, or Newton on their Gram matrix), warm-started at
-    ``x_idx``, to the KKT residual ``tol`` within ``budget`` iterations, and
-    returns ``(x_idx, kkt, iterations, grad)``, ``grad`` the full design's
-    gradient at its result. The set starts with the intercept (its first
-    coordinate) and the nonzero coordinates. After each pass, the zero
-    coordinates outside the set are checked against the full gradient: the
-    KKT residual is the larger of the pass's and their excess of ``|grad_j|``
-    over ``lam``. Above ``floor``, every coordinate with an excess joins, and
-    the next pass is solved to a tenth of the largest excess (never below
-    ``floor``), so a pass on a set that will still grow stays cheap (Massias,
-    Gramfort & Salmon 2018), and a pass with nothing left to add goes to
-    ``floor`` at once. All passes share one budget. Returns (x, kkt,
-    iterations) as the engines do, with the iterations summed over the passes.
+    ``solve(idx, x_idx, tol, budget)`` runs :func:`_newton` on the columns
+    ``idx`` only, warm-started at ``x_idx``, to the KKT residual ``tol``
+    within ``budget`` iterations, and returns ``(x_idx, kkt, iterations,
+    grad)``, ``grad`` the full design's gradient at its result. The set
+    starts with the intercept (its first coordinate) and the nonzero
+    coordinates. After each pass, the zero coordinates outside the set are
+    checked against the full gradient: the KKT residual is the larger of the
+    pass's and their excess of ``|grad_j|`` over ``lam``. Above ``floor``,
+    every coordinate with an excess joins, and the next pass is solved to a
+    tenth of the largest excess (never below ``floor``), so a pass on a set
+    that will still grow stays cheap (Massias, Gramfort & Salmon 2018), and a
+    pass with nothing left to add goes to ``floor`` at once. All passes share
+    one budget. Returns (x, kkt, iterations) as :func:`_newton` does, with
+    the iterations summed over the passes.
     """
     x = np.array(x0, dtype=float)
     working = x != 0.0
@@ -398,11 +292,12 @@ def _newton(
     value_grad, hess, x0, divergence_error=None, norm_guard=NORM_GUARD, lam=0.0, tol=None, max_iter=None
 ):
     """Damped Newton with backtracking for a smooth convex part plus
-    ``lam * ||x[1:]||_1``; ``value_grad`` as for the proximal engine, ``hess``
-    evaluated at accepted iterates only. Stops at the KKT residual ``tol``
-    (``DEFAULT_TOL``) within ``max_iter`` iterations (``DEFAULT_NEWTON_ITER``);
-    with a ``divergence_error``, an iterate norm above ``norm_guard`` raises
-    it. Returns (x, residual, iterations).
+    ``lam * ||x[1:]||_1``. ``value_grad(x)`` returns the smooth part's value
+    and gradient on the mean scale (gradient None where the value is not
+    finite); ``hess`` is evaluated at accepted iterates only. Stops at the KKT
+    residual ``tol`` (``DEFAULT_TOL``) within ``max_iter`` iterations
+    (``DEFAULT_NEWTON_ITER``); with a ``divergence_error``, an iterate norm
+    above ``norm_guard`` raises it. Returns (x, residual, iterations).
 
     At ``lam == 0`` each step is the plain Newton step on every coordinate.
     At ``lam > 0`` it is the orthant-wise step of Andrew & Gao (2007), exact
@@ -411,11 +306,19 @@ def _newton(
     of its mean (a set larger than the weighted rows is singular); a zero
     coordinate moves only along its descent sign, one that would cross zero
     stops there, and the sufficient-decrease test is on the composite
-    objective, with the rounding slack of :func:`_backtrack`.
+    objective, with 16 ulps of slack for its rounding. The step halves from
+    1, but the longest step that takes no coordinate across zero is tried
+    before any shorter one.
+
+    After each accepted step, two proofs of no minimum that a closure may
+    carry raise :class:`UnboundedObjective`: ``value_grad.certify(x - x0,
+    lam)``, then an objective below ``value_grad.lower_bound``.
     """
     tol = DEFAULT_TOL if tol is None else tol
     max_iter = DEFAULT_NEWTON_ITER if max_iter is None else max_iter
-    x = np.array(x0, dtype=float)
+    certify = getattr(value_grad, "certify", None)
+    least = getattr(value_grad, "lower_bound", -math.inf)
+    x_start = x = np.array(x0, dtype=float)
     f, g = value_grad(x)
     if not np.isfinite(f):
         raise ValueError("objective is not finite at the starting point")
@@ -439,8 +342,14 @@ def _newton(
             direction[free] = np.linalg.solve(h, -sub[free])
         except np.linalg.LinAlgError as exc:
             raise RankDeficient("singular Hessian in Newton solve") from exc
+        first = math.inf
         if lam:
             direction[1:][(x[1:] == 0.0) & (direction[1:] * sub[1:] > 0.0)] = 0.0
+            # Below ``first`` the move is along the descent direction itself;
+            # halving past it instead, a coordinate pushed across zero only
+            # approaches zero, by ever shorter steps, and the search stalls.
+            cross = np.flatnonzero(x[1:] * direction[1:] < 0.0) + 1
+            first = float(np.min(-x[cross] / direction[cross], initial=math.inf))
         slack = 16.0 * np.finfo(float).eps * (1.0 + abs(big_f))
         step = 1.0
         while True:
@@ -454,10 +363,17 @@ def _newton(
             big_f_new = f_new + _l1(x_new, lam)
             if np.isfinite(f_new) and big_f_new <= bound:
                 break
-            step *= 0.5
+            step = first if step > first > 0.5 * step else 0.5 * step
             if step < 1e-16:
                 raise NonConvergence("Newton line search stalled")
         x, g, big_f = x_new, g_new, big_f_new
+        if certify is not None:
+            certify(x - x_start, lam)
+        if big_f < least:
+            raise UnboundedObjective(
+                f"the objective has no minimum: it fell to {big_f:.4g}, below the least value of "
+                f"a minimum, {least:.4g} (no treated reweighting balances the controls to within lambda)"
+            )
         if divergence_error is not None and _iterate_norm(x) > norm_guard:
             raise divergence_error
 
@@ -475,13 +391,23 @@ def _calibration_value_grad(z: np.ndarray, a: np.ndarray) -> Callable:
     per-unit score ``1 - A_i/pi_i`` as a function of ``u = z @ coef`` as
     ``.residual``, so ``z' residual(u) / n`` is the gradient on any design.
 
-    ``.lower_bound`` is ``(n_c/n)(1 - log n_c)``, with ``n_c`` the number of
-    controls: whenever the loss plus any l1 penalty on ``g[1:]`` has a
-    minimum, its minimum is at least that, on every design. By duality the
-    minimum equals ``(1/n) sum_treated (w_i - w_i log w_i)`` for treated
-    weights ``w_i >= 0`` summing to ``n_c`` (the intercept's equation), and
-    ``sum w_i log w_i <= n_c log n_c`` there. An objective below the bound
-    therefore certifies that there is no minimum.
+    On a design whose first column is ones it also carries two proofs that
+    the loss plus ``lam * ||g[1:]||_1`` has no minimum, for :func:`_newton`.
+    Elsewhere (the bias surface's intercept-free slopes) neither holds.
+
+    * ``.certify(d, lam)`` raises ``d[0]`` in place until every treated row
+      has ``z_t.d >= 0``; if then ``c.d + lam * ||d[1:]||_1 < 0``, with
+      ``c = (1/n) sum_controls z_c``, the loss falls without end along ``d``
+      (no treated reweighting balances the controls to within ``lam``; Zhao
+      2019), and it raises :class:`UnboundedObjective` naming
+      ``lambda_d = -c.d / ||d[1:]||_1``. Both tests allow for their rounding,
+      so a reported direction holds in exact arithmetic.
+    * ``.lower_bound`` is ``(n_c/n)(1 - log n_c)``, ``n_c`` the number of
+      controls: on every design whose first column is ones, a minimum of the
+      penalised loss is at least that. By duality the minimum equals
+      ``(1/n) sum_treated (w_i - w_i log w_i)`` for treated weights
+      ``w_i >= 0`` summing to ``n_c`` (the intercept's equation), and
+      ``sum w_i log w_i <= n_c log n_c`` there.
     """
     n = z.shape[0]
     treated = a == 1.0
@@ -496,21 +422,39 @@ def _calibration_value_grad(z: np.ndarray, a: np.ndarray) -> Callable:
 
     def value_grad(coef: np.ndarray):
         u = z @ coef
+        # Far along a direction with no minimum the weights, or only their
+        # products with z_t, overflow; the line search rejects such a point.
         with np.errstate(over="ignore"):
             e_t = np.exp(-u[treated])
-        val = (float(e_t.sum()) + float(u[~treated].sum())) / n
-        if not np.isfinite(val):
-            return val, None
-        grad = (z_c_sum - z_t.T @ e_t) / n
+            val = (float(e_t.sum()) + float(u[~treated].sum())) / n
+            if not np.isfinite(val):
+                return val, None
+            grad = (z_c_sum - z_t.T @ e_t) / n
         return val, grad
 
     def hess(coef: np.ndarray) -> np.ndarray:
         e_t = np.exp(-(z @ coef)[treated])
         return (z_t * e_t[:, None]).T @ z_t / n
 
+    def certify(d: np.ndarray, lam: float) -> None:
+        # Each product's rounding is below ulps * z_max * ||d||_1.
+        ulps = (n + 2 * d.size + 16) * np.finfo(float).eps
+        d[0] += ulps * z_max * float(np.abs(d).sum()) - float(np.min(z_t @ d, initial=0.0))
+        l1 = float(np.abs(d[1:]).sum())
+        lead = float(z_c_sum @ d) / n
+        if lead + lam * l1 < -ulps * (z_max * float(np.abs(d).sum()) + lam * l1):
+            raise UnboundedObjective(
+                f"the objective has no minimum: it falls without end along a direction "
+                f"with lambda_d = {-lead / l1:.6g} > lambda = {lam:.6g} (no treated "
+                "reweighting balances the controls to within lambda)"
+            )
+
     value_grad.hess = hess
     value_grad.residual = residual
-    value_grad.lower_bound = n_c * (1.0 - math.log(n_c)) / n if n_c else 0.0
+    if np.all(z[:, 0] == 1.0):
+        z_max = float(np.abs(z).max())
+        value_grad.certify = certify
+        value_grad.lower_bound = n_c * (1.0 - math.log(n_c)) / n if n_c else 0.0
     return value_grad
 
 
@@ -552,15 +496,16 @@ def _require_both_arms(data: Dataset) -> None:
 
 
 def _fit_propensity_lasso(loss: Callable, data: Dataset, lam: float) -> Coefficients:
-    """Proximal-gradient fit of ``loss(z, a)`` plus ``lam * ||g||_1``, started
-    at the intercept-only logit of the treated fraction.
+    """Newton fit of ``loss(z, a)`` plus ``lam * ||g||_1``, started at the
+    intercept-only logit of the treated fraction.
 
-    :func:`_working_set` drives it: each pass runs :func:`_prox_gradient` on
-    ``loss`` over the working set's columns, and the closure's ``.residual``
-    gives the full design's gradient as one product with ``z'``, without
-    copying rows of ``z``. ``kkt_residual`` is the full design's, and
-    ``n_iter`` counts the iterations of every pass, on one
-    ``DEFAULT_PROX_ITER`` budget.
+    :func:`_working_set` drives it: each pass runs :func:`_newton` on ``loss``
+    over the working set's columns, and the closure's ``.residual`` gives the
+    full design's gradient as one product with ``z'``, without copying rows
+    of ``z``. ``kkt_residual`` is the full design's, and ``n_iter`` counts
+    the iterations of every pass, on one ``DEFAULT_NEWTON_ITER`` budget. An
+    iterate norm above ``NORM_GUARD`` raises :class:`UnboundedObjective`
+    (e.g. separable treatment at ``lam == 0``).
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
@@ -570,14 +515,19 @@ def _fit_propensity_lasso(loss: Callable, data: Dataset, lam: float) -> Coeffici
     x0 = np.zeros(data.p + 1)
     abar = a.mean()
     x0[0] = math.log(abar / (1.0 - abar))
+    diverged = UnboundedObjective(
+        "iterate norm exceeded the divergence guard: no minimum (e.g. separable treatment at lambda = 0)"
+    )
 
     def solve(idx, x_idx, tol, budget):
         zw = z[:, idx]
         value_grad = loss(zw, a)
-        x_idx, kkt, done = _prox_gradient(value_grad, x_idx, lam, tol, budget)
+        x_idx, kkt, done = _newton(
+            value_grad, value_grad.hess, x_idx, diverged, lam=lam, tol=tol, max_iter=budget
+        )
         return x_idx, kkt, done, z.T @ value_grad.residual(zw @ x_idx) / n
 
-    coef, kkt, n_iter = _working_set(solve, x0, lam, DEFAULT_TOL, DEFAULT_PROX_ITER)
+    coef, kkt, n_iter = _working_set(solve, x0, lam, DEFAULT_TOL, DEFAULT_NEWTON_ITER)
     gamma = _back_transform(coef, scales)
     return Coefficients(gamma, lam, kkt, n_iter)
 

@@ -90,6 +90,15 @@ def test_scalar_fits_satisfy_score_equations():
     assert np.mean((a - pi_mle) * x) == pytest.approx(0.0, abs=1e-9)
 
 
+def test_calibration_reference_slope_on_an_intercept_free_design_has_its_minimum():
+    # the loss's minimum, -46.2 at slope -192.07, lies below (n_c/n)(1 - log
+    # n_c) = 1/3, a bound that holds only on a design with an intercept
+    x, a = np.array([0.01, 0.02, 1.0]), np.array([1.0, 1.0, 0.0])
+    slope = _reference_slope(_calibration_value_grad, x, a)
+    assert slope == pytest.approx(-192.07, abs=0.01)
+    assert np.mean((1.0 - a / expit(slope * x)) * x) == pytest.approx(0.0, abs=1e-9)
+
+
 def test_reference_fits_converge_at_float_noise_floor():
     # at this seed the float noise floor of the calibration score is ~5e-10,
     # so the reference fits must stop on a tolerance above it

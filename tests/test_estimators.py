@@ -315,7 +315,7 @@ def test_suite_errors_do_not_keep_data_alive():
 
 
 @pytest.mark.parametrize(
-    "tag, budget", [("LASSO", "DEFAULT_NEWTON_ITER"), ("P-BR", "DEFAULT_PROX_ITER")]
+    "tag, budget", [("LASSO", "DEFAULT_NEWTON_ITER"), ("P-BR", "DEFAULT_NEWTON_ITER")]
 )
 def test_suite_chained_errors_do_not_keep_data_alive(tag, budget, monkeypatch):
     # a working-set fit re-raises a spent budget from the engine's error,

@@ -4,11 +4,13 @@ import math
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 from scipy.special import expit, ndtri
 
 from conftest import random_dataset
@@ -32,6 +34,7 @@ from pbrdr import (
     post_lasso_refit,
 )
 from pbrdr import solvers
+from pbrdr.estimators import estimate_suite
 from pbrdr.simulation import ScenarioSpec, build_model, draw_dataset
 
 
@@ -105,6 +108,39 @@ def coordinate_descent(gram, lin, lam, x, tol=1e-12):
             shrunk = rho if j == 0 else math.copysign(max(abs(rho) - lam, 0.0), rho)
             x[j] = shrunk / gram[j, j]
     raise AssertionError("reference coordinate descent did not converge")
+
+
+def proximal_gradient(value_grad, x, lam, tol=1e-10):
+    """Minimiser of a smooth convex part plus ``lam * ||x[1:]||_1`` by
+    accelerated proximal gradient with backtracking, restarted whenever the
+    objective would rise, run to the KKT residual ``tol``. ``value_grad(x)``
+    returns the smooth part's value and gradient."""
+    f, g = value_grad(x)
+    big_f = f + lam * np.abs(x[1:]).sum()
+    x_prev, t, step = x, 1.0, 1.0
+    for _ in range(100_000):
+        sub = np.where(x != 0.0, g + lam * np.sign(x), np.maximum(np.abs(g) - lam, 0.0))
+        if max(abs(g[0]), float(np.max(np.abs(sub[1:])))) <= tol:
+            return x
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        y = x + ((t - 1.0) / t_next) * (x - x_prev)
+        fy, gy = value_grad(y)
+        step *= 1.25
+        while True:
+            z = y - step * gy
+            z[1:] = np.sign(z[1:]) * np.maximum(np.abs(z[1:]) - step * lam, 0.0)
+            fz, gz = value_grad(z)
+            d = z - y
+            # the slacks keep rounding near the optimum from stalling the search
+            if np.isfinite(fz) and fz <= fy + gy @ d + 0.5 * (d @ d) / step + 1e-15 * (1.0 + abs(fy)):
+                break
+            step *= 0.5
+        big_fz = fz + lam * np.abs(z[1:]).sum()
+        if big_fz > big_f + 1e-15 * (1.0 + abs(big_f)):
+            x_prev, t = x, 1.0
+        else:
+            x_prev, x, g, big_f, t = x, z, gz, big_fz, t_next
+    raise AssertionError("reference proximal gradient did not converge")
 
 
 # ---------------------------------------------------------------------------
@@ -488,9 +524,7 @@ def test_screened_propensity_lasso_matches_full_proximal_gradient(p, fitter):
     z = np.hstack([np.ones((data.n, 1)), data.x / scales])
     x0 = np.zeros(p + 1)
     x0[0] = math.log(data.a.mean() / (1.0 - data.a.mean()))
-    full, _, _ = solvers._prox_gradient(
-        loss(z, data.a), x0, lam, solvers.DEFAULT_TOL, solvers.DEFAULT_PROX_ITER
-    )
+    full = proximal_gradient(loss(z, data.a), x0, lam)
     coef_std = fit.coef.copy()
     coef_std[1:] *= scales
     assert np.max(np.abs(coef_std - full)) <= 1e-7
@@ -506,10 +540,10 @@ def test_screened_propensity_lasso_matches_full_proximal_gradient(p, fitter):
 def test_screened_propensity_lasso_budget_is_shared_by_its_passes(fitter, monkeypatch):
     total = _propensity_lasso_case(400, fitter)[2].n_iter
     assert total > 1
-    monkeypatch.setattr(solvers, "DEFAULT_PROX_ITER", total)
+    monkeypatch.setattr(solvers, "DEFAULT_NEWTON_ITER", total)
     assert _propensity_lasso_case(400, fitter)[2].n_iter == total
     for budget in (1, total - 1):
-        monkeypatch.setattr(solvers, "DEFAULT_PROX_ITER", budget)
+        monkeypatch.setattr(solvers, "DEFAULT_NEWTON_ITER", budget)
         with pytest.raises(NonConvergence, match="shared by all passes"):
             _propensity_lasso_case(400, fitter)
 
@@ -521,6 +555,108 @@ def test_calibration_unbounded_at_p_much_larger_than_n():
     data = draw_dataset(build_model(spec), 200, 1000, False, np.random.default_rng([11, 5]))
     with pytest.raises(UnboundedObjective):
         fit_calibration_lasso(data, default_penalties(200, 1000)[0])
+
+
+def test_calibration_lasso_with_a_minimum_converges_at_p_much_larger_than_n():
+    # a draw whose penalised calibration loss has a minimum, close to the
+    # level below which it has none; the fit must reach it, and so must the
+    # estimators built on it
+    spec = ScenarioSpec("S1", 40, 200, False, True, True, reps=1, seed=11)
+    data = draw_dataset(build_model(spec), 40, 200, False, np.random.default_rng([11, 1, 2]))
+    lam = default_penalties(40, 200)[0]
+    fit = fit_calibration_lasso(data, lam)
+    assert fit.kkt_residual <= solvers.DEFAULT_TOL
+    s = unit_sd(data)
+    assert l1_violation(calibration_score(data, fit.coef) / s, fit.coef * s, lam) <= 1.01e-8
+    suite = estimate_suite(data, ["P-BR", "DS-P-BR"])
+    assert [suite[tag].error for tag in ("P-BR", "DS-P-BR")] == [None, None]
+
+
+def _lp_lambda_star(z, a):
+    """``max(0, -min{c.d : z_t.d >= 0, ||d[1:]||_1 <= 1})`` by linear programming,
+    ``c`` the control rows' sum over ``n``: the calibration lasso has a minimum
+    for every larger penalty and none below (Zhao 2019)."""
+    n, k = z.shape
+    c = z[a == 0.0].sum(axis=0) / n
+    # variables: d[0], then d[1:] = u - v with u, v >= 0
+    cost = np.concatenate([c, -c[1:]])
+    z_t = z[a == 1.0]
+    a_ub = np.vstack([-np.hstack([z_t, -z_t[:, 1:]]), np.r_[0.0, np.ones(2 * (k - 1))]])
+    b_ub = np.r_[np.zeros(z_t.shape[0]), 1.0]
+    bounds = [(None, None)] + [(0.0, None)] * (2 * (k - 1))
+    lp = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    assert lp.status == 0, lp.message
+    return max(0.0, -lp.fun)
+
+
+@given(
+    st.integers(min_value=20, max_value=79),
+    st.floats(min_value=1.0, max_value=2.99),
+    st.floats(min_value=0.2, max_value=0.8),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+# two draws on which a Newton step pushed a coordinate across zero: a line
+# search that only halves let it approach zero by ever shorter steps and stall
+@example(34, 2.479226631824126, 0.4739332827041749, 250047049)
+@example(51, 1.8789912005008025, 0.36508774541751127, 3478651281)
+def test_calibration_lasso_is_unbounded_exactly_below_the_lp_level(n, ratio, frac, seed):
+    # at p >= n the LP oracle's level sits inside the range of default
+    # penalties; 1% above it the fit must converge, 1% below it must name the
+    # missing minimum, by the certificate or the dual bound
+    p = int(ratio * n)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, p))
+    a = np.zeros(n)
+    a[rng.permutation(n)[: max(2, min(n - 2, round(frac * n)))]] = 1.0
+    data = Dataset(rng.standard_normal(n), a, x)
+    z = np.hstack([np.ones((n, 1)), x / np.std(x, axis=0, ddof=1)])
+    lam_star = _lp_lambda_star(z, a)
+    assert lam_star > 0.0
+    fit = fit_calibration_lasso(data, 1.01 * lam_star)
+    assert fit.kkt_residual <= solvers.DEFAULT_TOL
+    with pytest.raises(UnboundedObjective):
+        fit_calibration_lasso(data, 0.99 * lam_star)
+
+
+@given(
+    st.integers(min_value=4, max_value=12),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=5, max_size=5),
+    st.one_of(st.floats(min_value=0.0, max_value=2.0), st.floats(1.0 - 1e-9, 1.0 + 1e-9)),
+)
+def test_calibration_certificate_holds_in_exact_arithmetic(n, p, seed, d, factor):
+    # whenever the certificate fires, its direction must hold in rational
+    # arithmetic, and whenever it does not, the direction must fail or come
+    # within 1e-8 of holding; lambda is a multiple of the direction's own
+    # level lambda_d, and within 1e-9 of it float rounding decides
+    rng = np.random.default_rng(seed)
+    z = np.hstack([np.ones((n, 1)), rng.standard_normal((n, p)) * 10.0 ** rng.uniform(-3, 3, p)])
+    a = np.zeros(n)
+    a[rng.permutation(n)[: n // 2]] = 1.0
+    certify = solvers._calibration_value_grad(z, a).certify
+    d = np.array([v if abs(v) > 1e-6 else 0.0 for v in d[: p + 1]])
+    # point d[1:] from the controls' mean towards the treated mean
+    d[1:] *= np.sign(z[a == 1.0, 1:].mean(axis=0) @ d[1:] - z[a == 0.0, 1:].mean(axis=0) @ d[1:]) or 1.0
+    shifted = d.copy()
+    shifted[0] -= min(0.0, float(np.min(z[a == 1.0] @ d)))
+    lam_d = -float(z[a == 0.0].sum(axis=0) @ shifted) / n / (np.abs(d[1:]).sum() or 1.0)
+    lam = factor * max(0.0, lam_d)
+    try:
+        certify(d, lam)  # raises d[0] in place
+        fired = False
+    except UnboundedObjective:
+        fired = True
+    dq = [Fraction(v) for v in d]
+    z_d = [sum(Fraction(v) * w for v, w in zip(row, dq)) for row in z]
+    l1 = sum(abs(v) for v in dq[1:])
+    value = sum(u for u, ai in zip(z_d, a) if ai == 0.0) / n + Fraction(lam) * l1
+    holds = l1 > 0 and all(u >= 0 for u, ai in zip(z_d, a) if ai == 1.0)
+    if fired:
+        assert holds and value < 0
+    elif holds:
+        scale = float(np.abs(z).max() * np.abs(d).sum()) + lam * float(l1)
+        assert value >= -1e-8 * scale
 
 
 @pytest.mark.parametrize("seed", range(4))
