@@ -32,6 +32,10 @@ Reference biases accompany the surface:
 
 The BR and MLE propensity slopes are fitted on the one-column design by the
 loss closures and Newton engine of :mod:`solvers`, to its ``DEFAULT_TOL``.
+A sample whose BR slope has no minimum (e.g. every treated ``x`` positive and
+the controls' ``x`` summing below zero, which small samples draw) raises
+:class:`UnboundedObjective` from the calibration loss's certificate, and the
+CLI exits 3.
 
 The inverse-weighting references are dominated by the deepest tail units
 (the underlying bias integral diverges), so their single-sample values vary

@@ -310,14 +310,13 @@ def _newton(
     1, but the longest step that takes no coordinate across zero is tried
     before any shorter one.
 
-    After each accepted step, two proofs of no minimum that a closure may
-    carry raise :class:`UnboundedObjective`: ``value_grad.certify(x - x0,
-    lam)``, then an objective below ``value_grad.lower_bound``.
+    After each accepted step, a proof of no minimum that a closure may carry,
+    ``value_grad.certify(d, lam)``, is tried on two directions, ``d = x - x0``
+    and then the step itself, and raises :class:`UnboundedObjective`.
     """
     tol = DEFAULT_TOL if tol is None else tol
     max_iter = DEFAULT_NEWTON_ITER if max_iter is None else max_iter
     certify = getattr(value_grad, "certify", None)
-    least = getattr(value_grad, "lower_bound", -math.inf)
     x_start = x = np.array(x0, dtype=float)
     f, g = value_grad(x)
     if not np.isfinite(f):
@@ -366,14 +365,10 @@ def _newton(
             step = first if step > first > 0.5 * step else 0.5 * step
             if step < 1e-16:
                 raise NonConvergence("Newton line search stalled")
-        x, g, big_f = x_new, g_new, big_f_new
         if certify is not None:
-            certify(x - x_start, lam)
-        if big_f < least:
-            raise UnboundedObjective(
-                f"the objective has no minimum: it fell to {big_f:.4g}, below the least value of "
-                f"a minimum, {least:.4g} (no treated reweighting balances the controls to within lambda)"
-            )
+            certify(x_new - x_start, lam)
+            certify(x_new - x, lam)
+        x, g, big_f = x_new, g_new, big_f_new
         if divergence_error is not None and _iterate_norm(x) > norm_guard:
             raise divergence_error
 
@@ -391,29 +386,24 @@ def _calibration_value_grad(z: np.ndarray, a: np.ndarray) -> Callable:
     per-unit score ``1 - A_i/pi_i`` as a function of ``u = z @ coef`` as
     ``.residual``, so ``z' residual(u) / n`` is the gradient on any design.
 
-    On a design whose first column is ones it also carries two proofs that
-    the loss plus ``lam * ||g[1:]||_1`` has no minimum, for :func:`_newton`.
-    Elsewhere (the bias surface's intercept-free slopes) neither holds.
-
-    * ``.certify(d, lam)`` raises ``d[0]`` in place until every treated row
-      has ``z_t.d >= 0``; if then ``c.d + lam * ||d[1:]||_1 < 0``, with
-      ``c = (1/n) sum_controls z_c``, the loss falls without end along ``d``
-      (no treated reweighting balances the controls to within ``lam``; Zhao
-      2019), and it raises :class:`UnboundedObjective` naming
-      ``lambda_d = -c.d / ||d[1:]||_1``. Both tests allow for their rounding,
-      so a reported direction holds in exact arithmetic.
-    * ``.lower_bound`` is ``(n_c/n)(1 - log n_c)``, ``n_c`` the number of
-      controls: on every design whose first column is ones, a minimum of the
-      penalised loss is at least that. By duality the minimum equals
-      ``(1/n) sum_treated (w_i - w_i log w_i)`` for treated weights
-      ``w_i >= 0`` summing to ``n_c`` (the intercept's equation), and
-      ``sum w_i log w_i <= n_c log n_c`` there.
+    It also carries, as ``.certify(d, lam)``, a proof for :func:`_newton` that
+    the loss plus ``lam * ||g[1:]||_1`` has no minimum, on any design. Every
+    treated row must have ``z_t.d >= 0``: on a design whose first column is
+    ones ``d[0]`` is raised in place until it does, on any other the
+    direction must have it as given. If then ``c.d + lam * ||d[1:]||_1 < 0``,
+    with ``c = (1/n) sum_controls z_c``, the loss falls without end along
+    ``d`` (no treated reweighting balances the controls to within ``lam``;
+    Zhao 2019), and it raises :class:`UnboundedObjective` naming
+    ``lambda_d = -c.d / ||d[1:]||_1`` (inf where ``d[1:]`` is zero). Both
+    tests allow for their rounding, so a reported direction holds in exact
+    arithmetic.
     """
     n = z.shape[0]
     treated = a == 1.0
     z_t = z[treated]
     z_c_sum = z[~treated].sum(axis=0)
-    n_c = n - z_t.shape[0]
+    z_max = float(np.abs(z).max())
+    intercept = bool(np.all(z[:, 0] == 1.0))
 
     def residual(u: np.ndarray) -> np.ndarray:
         r = 1.0 - a
@@ -439,22 +429,24 @@ def _calibration_value_grad(z: np.ndarray, a: np.ndarray) -> Callable:
     def certify(d: np.ndarray, lam: float) -> None:
         # Each product's rounding is below ulps * z_max * ||d||_1.
         ulps = (n + 2 * d.size + 16) * np.finfo(float).eps
-        d[0] += ulps * z_max * float(np.abs(d).sum()) - float(np.min(z_t @ d, initial=0.0))
+        slack = ulps * z_max * float(np.abs(d).sum())
+        least = float(np.min(z_t @ d))
+        if intercept:
+            d[0] += slack - min(least, 0.0)
+        elif least < slack:
+            return
         l1 = float(np.abs(d[1:]).sum())
         lead = float(z_c_sum @ d) / n
         if lead + lam * l1 < -ulps * (z_max * float(np.abs(d).sum()) + lam * l1):
             raise UnboundedObjective(
                 f"the objective has no minimum: it falls without end along a direction "
-                f"with lambda_d = {-lead / l1:.6g} > lambda = {lam:.6g} (no treated "
+                f"with lambda_d = {-lead / l1 if l1 else math.inf:.6g} > lambda = {lam:.6g} (no treated "
                 "reweighting balances the controls to within lambda)"
             )
 
     value_grad.hess = hess
     value_grad.residual = residual
-    if np.all(z[:, 0] == 1.0):
-        z_max = float(np.abs(z).max())
-        value_grad.certify = certify
-        value_grad.lower_bound = n_c * (1.0 - math.log(n_c)) / n if n_c else 0.0
+    value_grad.certify = certify
     return value_grad
 
 

@@ -92,7 +92,9 @@ def test_scalar_fits_satisfy_score_equations():
 
 def test_calibration_reference_slope_on_an_intercept_free_design_has_its_minimum():
     # the loss's minimum, -46.2 at slope -192.07, lies below (n_c/n)(1 - log
-    # n_c) = 1/3, a bound that holds only on a design with an intercept
+    # n_c) = 1/3, the least value of a minimum only on a design with an
+    # intercept; the certificate, which here takes each direction as given,
+    # must not fire on the way down
     x, a = np.array([0.01, 0.02, 1.0]), np.array([1.0, 1.0, 0.0])
     slope = _reference_slope(_calibration_value_grad, x, a)
     assert slope == pytest.approx(-192.07, abs=0.01)
@@ -174,12 +176,18 @@ def test_surface_sample_without_control_units_is_degenerate(seed):
 
 
 def test_diverging_reference_fit_raises_without_overflow_warning():
-    # the calibration slope of this ten-unit sample has no minimum; its Newton
-    # iterate overflows the guard's sum of squares, which must stay silent
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(UnboundedObjective):
-            evaluate_surface(SurfaceDgp("fig1", 10, 11), [0.0], [0.0])
+    # in each sample every treated x is positive and the controls' x sum is
+    # negative, so the calibration loss of the BR slope falls without end
+    # along g > 0: the certificate must name that direction (lambda_d is inf
+    # on the one-column design), and no overflow on the way may warn
+    for dgp in (SurfaceDgp("fig1", 10, 11), SurfaceDgp("fig1", 3, 166), SurfaceDgp("fig1", 5, 0)):
+        data = surface_dataset(dgp)
+        x, treated = data.x[:, 0], data.a == 1.0
+        assert x[treated].min() > 0.0 > x[~treated].sum()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(UnboundedObjective, match="lambda_d = inf"):
+                evaluate_surface(dgp, [0.0], [0.0])
 
 
 def test_gamma_draws_are_unit_exponential_draws():

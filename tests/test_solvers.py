@@ -549,12 +549,14 @@ def test_screened_propensity_lasso_budget_is_shared_by_its_passes(fitter, monkey
 
 
 def test_calibration_unbounded_at_p_much_larger_than_n():
-    # an S1 draw on which no treated reweighting balances the controls to
-    # within the default penalty; the screened fit must still name the cause
-    spec = ScenarioSpec("S1", 200, 1000, False, True, True, reps=1, seed=11)
-    data = draw_dataset(build_model(spec), 200, 1000, False, np.random.default_rng([11, 5]))
-    with pytest.raises(UnboundedObjective):
-        fit_calibration_lasso(data, default_penalties(200, 1000)[0])
+    # S1 draws on which no treated reweighting balances the controls to
+    # within the default penalty; the screened fit must still name the cause,
+    # a certified direction and its level lambda_d
+    for n, p, k in ((200, 1000, 5), (200, 1000, 11), (40, 200, 18)):
+        spec = ScenarioSpec("S1", n, p, False, True, True, reps=1, seed=11)
+        data = draw_dataset(build_model(spec), n, p, False, np.random.default_rng([11, k]))
+        with pytest.raises(UnboundedObjective, match="lambda_d"):
+            fit_calibration_lasso(data, default_penalties(n, p)[0])
 
 
 def test_calibration_lasso_with_a_minimum_converges_at_p_much_larger_than_n():
@@ -602,7 +604,7 @@ def _lp_lambda_star(z, a):
 def test_calibration_lasso_is_unbounded_exactly_below_the_lp_level(n, ratio, frac, seed):
     # at p >= n the LP oracle's level sits inside the range of default
     # penalties; 1% above it the fit must converge, 1% below it must name the
-    # missing minimum, by the certificate or the dual bound
+    # missing minimum by the certificate
     p = int(ratio * n)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, p))
@@ -614,7 +616,7 @@ def test_calibration_lasso_is_unbounded_exactly_below_the_lp_level(n, ratio, fra
     assert lam_star > 0.0
     fit = fit_calibration_lasso(data, 1.01 * lam_star)
     assert fit.kkt_residual <= solvers.DEFAULT_TOL
-    with pytest.raises(UnboundedObjective):
+    with pytest.raises(UnboundedObjective, match="lambda_d"):
         fit_calibration_lasso(data, 0.99 * lam_star)
 
 
@@ -624,36 +626,51 @@ def test_calibration_lasso_is_unbounded_exactly_below_the_lp_level(n, ratio, fra
     st.integers(min_value=0, max_value=2**32 - 1),
     st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=5, max_size=5),
     st.one_of(st.floats(min_value=0.0, max_value=2.0), st.floats(1.0 - 1e-9, 1.0 + 1e-9)),
+    st.sampled_from(["intercept", "slopes", "one slope"]),
 )
-def test_calibration_certificate_holds_in_exact_arithmetic(n, p, seed, d, factor):
+def test_calibration_certificate_holds_in_exact_arithmetic(n, p, seed, d, factor, design):
     # whenever the certificate fires, its direction must hold in rational
     # arithmetic, and whenever it does not, the direction must fail or come
     # within 1e-8 of holding; lambda is a multiple of the direction's own
-    # level lambda_d, and within 1e-9 of it float rounding decides
+    # level lambda_d, and within 1e-9 of it float rounding decides. Without
+    # an intercept column (the bias surface's slopes) d is tested as given,
+    # and a one-column design has no penalised coordinate: lambda_d is inf
     rng = np.random.default_rng(seed)
     z = np.hstack([np.ones((n, 1)), rng.standard_normal((n, p)) * 10.0 ** rng.uniform(-3, 3, p)])
+    if design != "intercept":
+        z[:, 0] = rng.standard_normal(n)
+    if design == "one slope":
+        z = z[:, :1]
     a = np.zeros(n)
     a[rng.permutation(n)[: n // 2]] = 1.0
-    certify = solvers._calibration_value_grad(z, a).certify
-    d = np.array([v if abs(v) > 1e-6 else 0.0 for v in d[: p + 1]])
+    d = np.array([v if abs(v) > 1e-6 else 0.0 for v in d[: z.shape[1]]])
     # point d[1:] from the controls' mean towards the treated mean
     d[1:] *= np.sign(z[a == 1.0, 1:].mean(axis=0) @ d[1:] - z[a == 0.0, 1:].mean(axis=0) @ d[1:]) or 1.0
     shifted = d.copy()
-    shifted[0] -= min(0.0, float(np.min(z[a == 1.0] @ d)))
+    if design == "intercept":
+        shifted[0] -= min(0.0, float(np.min(z[a == 1.0] @ d)))
+    else:
+        # turn most treated rows to the side of d, so that z_t.d >= 0 often holds
+        turn = (z[a == 1.0] @ d < 0.0) & (rng.random(n // 2) < 0.9)
+        z[np.flatnonzero(a == 1.0)[turn]] *= -1.0
     lam_d = -float(z[a == 0.0].sum(axis=0) @ shifted) / n / (np.abs(d[1:]).sum() or 1.0)
     lam = factor * max(0.0, lam_d)
+    given_d = d.copy()
     try:
-        certify(d, lam)  # raises d[0] in place
-        fired = False
-    except UnboundedObjective:
-        fired = True
+        solvers._calibration_value_grad(z, a).certify(d, lam)  # may raise d[0] in place
+        message = None
+    except UnboundedObjective as exc:
+        message = str(exc)
+    fired = message is not None
+    assert design == "intercept" or np.array_equal(d, given_d)
     dq = [Fraction(v) for v in d]
     z_d = [sum(Fraction(v) * w for v, w in zip(row, dq)) for row in z]
     l1 = sum(abs(v) for v in dq[1:])
     value = sum(u for u, ai in zip(z_d, a) if ai == 0.0) / n + Fraction(lam) * l1
-    holds = l1 > 0 and all(u >= 0 for u, ai in zip(z_d, a) if ai == 1.0)
+    holds = (l1 > 0 or design != "intercept") and all(u >= 0 for u, ai in zip(z_d, a) if ai == 1.0)
     if fired:
         assert holds and value < 0
+        assert ("lambda_d = inf" in message) == (l1 == 0)
     elif holds:
         scale = float(np.abs(z).max() * np.abs(d).sum()) + lam * float(l1)
         assert value >= -1e-8 * scale
@@ -671,7 +688,10 @@ def test_calibration_minimum_is_its_dual_value_above_the_lower_bound(seed):
     primal = (w.sum() + u[~treated].sum()) / data.n + lam * np.abs(fit.coef * unit_sd(data))[1:].sum()
     dual = np.sum(w - w * np.log(w)) / data.n
     assert primal == pytest.approx(dual, abs=1e-7)
-    assert primal > solvers._calibration_value_grad(z, data.a).lower_bound
+    # the treated weights sum to n_c (the intercept's equation), so
+    # sum w log w <= n_c log n_c: no minimum lies below (n_c/n)(1 - log n_c)
+    n_c = data.n - data.n_treated
+    assert primal > n_c * (1.0 - math.log(n_c)) / data.n
 
 
 def test_dataset_is_read_only_and_builds_its_design_once():
