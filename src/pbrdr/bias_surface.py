@@ -139,7 +139,7 @@ def _reference_slope(loss, x: np.ndarray, a: np.ndarray) -> float:
     intercept-free one-column design ``x[:, None]``."""
     value_grad = loss(x[:, None], a)
     diverged = UnboundedObjective("reference slope fit diverged")
-    slope, _, _ = _newton(value_grad, value_grad.hess, np.zeros(1), diverged)
+    slope, _, _ = _newton(value_grad, np.zeros(1), diverged)
     return float(slope[0])
 
 

@@ -336,9 +336,9 @@ class _Run:
 # ---------------------------------------------------------------------------
 
 
-def _result_payload(res) -> Dict:
+def _result_payload(res, estimator: str) -> Dict:
     out = {
-        "estimator": res.estimator,
+        "estimator": estimator,
         "estimate": res.mu_hat,
         "se": res.se,
         "ci_lower": res.ci[0],
@@ -376,12 +376,13 @@ def cmd_estimate(args) -> int:
                 "se": res.se,
                 "ci_lower": res.ci[0],
                 "ci_upper": res.ci[1],
-                "arm1": _result_payload(res.arm1),
-                "arm0": _result_payload(res.arm0),
+                "arm1": _result_payload(res.arm1, args.estimator),
+                "arm0": _result_payload(res.arm0, args.estimator),
             }
         else:
             work = data if args.target == "mu1" else data.swap_treatment()
-            payload = dict(_result_payload(estimate_one(work, args.estimator)), target=args.target)
+            res = estimate_one(work, args.estimator)
+            payload = dict(_result_payload(res, args.estimator), target=args.target)
     print(f"target      : {args.target}  (estimator {args.estimator})")
     print(f"estimate    : {payload['estimate']:.6g}")
     print(f"se          : {payload['se']:.6g}{'  (naive)' if payload.get('se_is_naive') else ''}")
@@ -410,7 +411,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_simulate(args) -> int:
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
+        with open(args.config, "r", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
             text = fh.read()
     except (OSError, UnicodeError) as exc:
         raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
@@ -522,7 +523,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run Monte Carlo cells from a config file")
     sim.add_argument("--config", required=True, help="key-value config file")
     sim.add_argument("--out", required=True, help="output directory")
-    sim.add_argument("--threads", type=int, default=1, help="worker processes (default 1)")
+    sim.add_argument(
+        "--threads", type=int, default=1, help="worker processes, at most one per rep and CPU (default 1)"
+    )
     sim.set_defaults(func=cmd_simulate)
 
     surf = sub.add_parser("bias-surface", help="export misspecification bias-surface data")

@@ -37,9 +37,9 @@ class Dataset:
 
     A dataset is immutable: its fields cannot be rebound and ``y``, ``a`` and
     ``x`` are read-only arrays. ``_cache`` holds arrays derived from ``x``
-    alone (the design and its unit-SD form, the only scale the fitters solve
-    on), built once and shared with the recoded dataset from
-    :meth:`swap_treatment`.
+    alone (:meth:`design` and :meth:`standardized`, the only scale the
+    fitters solve on), built once and shared with the recoded dataset from
+    :meth:`swap_treatment`; no other module touches it.
     """
 
     y: np.ndarray
@@ -86,10 +86,27 @@ class Dataset:
             self._cache["design"] = z
         return z
 
+    def standardized(self) -> tuple[np.ndarray, np.ndarray]:
+        """Return the read-only design with its covariates scaled to unit
+        sample SD (ddof=1; a constant column keeps scale 1), and the scales;
+        both are built on the first call and the same arrays returned after."""
+        cached = self._cache.get("standardized")
+        if cached is None:
+            scales = np.std(self.x, axis=0, ddof=1) if self.n > 1 else np.ones(self.p)
+            scales = np.where(scales > 0.0, scales, 1.0)
+            z = self.design()
+            if self.p:
+                z = z.copy()
+                z[:, 1:] /= scales
+                z.flags.writeable = False
+            scales.flags.writeable = False
+            cached = self._cache["standardized"] = (z, scales)
+        return cached
+
     def swap_treatment(self) -> "Dataset":
         """Recode the treatment (0 <-> 1), used for the second counterfactual arm.
 
-        ``y``, ``x`` and the cached design are shared with this dataset, not copied.
+        ``y``, ``x`` and the cached designs are shared with this dataset, not copied.
         """
         swapped = Dataset(self.y, 1.0 - self.a, self.x)
         object.__setattr__(swapped, "_cache", self._cache)

@@ -59,8 +59,8 @@ def _resolve_tags(tags: Optional[Sequence[str]]) -> Tuple[str, ...]:
 class EstimateResult:
     """Point estimate with influence-based uncertainty.
 
-    ``mu_hat`` equals the mean of ``influence`` exactly; ``se = sigma_hat/sqrt(n)``
-    and ``ci = mu_hat +/- 1.96 * se``. ``se_is_naive`` flags standard errors
+    ``mu_hat`` equals the mean of ``influence`` exactly; ``sigma_hat``, ``se``
+    and ``ci`` are :func:`_interval` of the two. ``se_is_naive`` flags standard errors
     that ignore nuisance estimation (outcome-regression and inverse-weighting
     estimators) and are not asymptotically valid in general.
     """
@@ -70,14 +70,15 @@ class EstimateResult:
     sigma_hat: float
     se: float
     ci: Tuple[float, float]
-    estimator: str
     se_is_naive: bool = False
     fit: Optional[NuisanceFit] = None
 
 
 @dataclass
 class AteResult:
-    """Average treatment effect contrast between the two counterfactual arms."""
+    """Average treatment effect contrast between the two counterfactual arms;
+    ``se`` and ``ci`` are :func:`_interval` of the per-unit difference of their
+    influence vectors."""
 
     ate: float
     se: float
@@ -102,18 +103,21 @@ class SuiteEntry:
         return self.result is not None
 
 
-def _result_from_influence(
-    influence: np.ndarray,
-    estimator: str,
-    se_is_naive: bool = False,
-    fit: Optional[NuisanceFit] = None,
-) -> EstimateResult:
+def _interval(mu: float, influence: np.ndarray) -> Tuple[float, float, Tuple[float, float]]:
+    """The sample SD ``sigma`` of per-unit influence values (ddof=1; 0 for one
+    unit), the SE ``sigma / sqrt(n)`` of the estimate ``mu`` they linearize,
+    and its 95% interval ``mu +/- 1.96 * se``."""
     n = influence.shape[0]
-    mu = float(np.mean(influence))
     sigma = float(np.std(influence, ddof=1)) if n > 1 else 0.0
     se = sigma / math.sqrt(n)
-    ci = (mu - CI_MULTIPLIER * se, mu + CI_MULTIPLIER * se)
-    return EstimateResult(mu, influence, sigma, se, ci, estimator, se_is_naive, fit)
+    return sigma, se, (mu - CI_MULTIPLIER * se, mu + CI_MULTIPLIER * se)
+
+
+def _result_from_influence(
+    influence: np.ndarray, se_is_naive: bool = False, fit: Optional[NuisanceFit] = None
+) -> EstimateResult:
+    mu = float(np.mean(influence))
+    return EstimateResult(mu, influence, *_interval(mu, influence), se_is_naive, fit)
 
 
 def _propensities(data: Dataset, gamma: np.ndarray, needed: np.ndarray) -> np.ndarray:
@@ -145,12 +149,10 @@ def influence_values(data: Dataset, fit: NuisanceFit) -> np.ndarray:
 def dr_estimate(data: Dataset, fit: NuisanceFit) -> EstimateResult:
     """DR estimate: mean of the influence values, sandwich SE from their sample SD."""
     u = influence_values(data, fit)
-    return _result_from_influence(u, fit.method, se_is_naive=False, fit=fit)
+    return _result_from_influence(u, fit=fit)
 
 
-def or_estimate(
-    data: Dataset, beta: Coefficients, estimator: str = "OR"
-) -> EstimateResult:
+def or_estimate(data: Dataset, beta: Coefficients) -> EstimateResult:
     """Outcome-regression estimate: mean of fitted values over all units.
 
     The reported SE is the sample SD of the fitted values over sqrt(n); it
@@ -159,21 +161,19 @@ def or_estimate(
     if not np.all(np.isfinite(beta.coef)):
         raise ValueError("beta must be finite")
     fitted = data.design() @ beta.coef
-    return _result_from_influence(fitted, estimator, se_is_naive=True)
+    return _result_from_influence(fitted, se_is_naive=True)
 
 
-def iptw_estimate(data: Dataset, gamma: Coefficients, estimator: str = "IPTW") -> EstimateResult:
+def iptw_estimate(data: Dataset, gamma: Coefficients) -> EstimateResult:
     """Unnormalized inverse-probability estimate ``(1/n) sum_i A_i y_i / pi_i``."""
     treated = data.a == 1.0
     pi = _propensities(data, gamma.coef, treated)
     u = np.zeros(data.n)
     u[treated] = data.y[treated] / pi[treated]
-    return _result_from_influence(u, estimator, se_is_naive=True)
+    return _result_from_influence(u, se_is_naive=True)
 
 
-def pop_iptw_estimate(
-    data: Dataset, gamma: Coefficients, estimator: str = "Pop-IPTW"
-) -> EstimateResult:
+def pop_iptw_estimate(data: Dataset, gamma: Coefficients) -> EstimateResult:
     """Normalized (Hajek) inverse-probability estimate.
 
     The weights are normalized to sum to one, which makes the estimate
@@ -191,7 +191,7 @@ def pop_iptw_estimate(
     mu_ratio = float(w @ data.y) / w_total
     u = np.full(data.n, mu_ratio)
     u += w * (data.y - mu_ratio) * (data.n / w_total)
-    return _result_from_influence(u, estimator, se_is_naive=True)
+    return _result_from_influence(u, se_is_naive=True)
 
 
 class _NuisanceFits:
@@ -243,21 +243,22 @@ _NUISANCE_FITS = {
 
 
 def _dr(g: str, b: str):
-    return lambda f, tag: dr_estimate(f.data, NuisanceFit(f(g), f(b), tag))
+    return lambda f: dr_estimate(f.data, NuisanceFit(f(g), f(b)))
 
 
-# Each estimator of the suite by tag, computed from the nuisance-fit lookup.
+# Each estimator of the suite by tag, computed from the nuisance-fit lookup;
+# the tag is a result's only name.
 _ROSTER = {
-    "OR-OLS": lambda f, tag: or_estimate(f.data, f("b_ols"), tag),
-    "OR-LASSO": lambda f, tag: or_estimate(f.data, f("b_lasso"), tag),
-    "Pop-IPTW-MLE": lambda f, tag: pop_iptw_estimate(f.data, f("g_mle"), tag),
-    "Pop-IPTW-LASSO": lambda f, tag: pop_iptw_estimate(f.data, f("g_lasso"), tag),
+    "OR-OLS": lambda f: or_estimate(f.data, f("b_ols")),
+    "OR-LASSO": lambda f: or_estimate(f.data, f("b_lasso")),
+    "Pop-IPTW-MLE": lambda f: pop_iptw_estimate(f.data, f("g_mle")),
+    "Pop-IPTW-LASSO": lambda f: pop_iptw_estimate(f.data, f("g_lasso")),
     "MLE": _dr("g_mle", "b_ols"),
     "LASSO": _dr("g_lasso", "b_lasso"),
     "Post-LASSO": _dr("g_post", "b_post"),
     "DS-LASSO": _dr("g_ds", "b_ds"),
     "P-BR": _dr("g_pbr", "b_pbr"),
-    "DS-P-BR": lambda f, tag: dr_estimate(
+    "DS-P-BR": lambda f: dr_estimate(
         f.data, fit_br_refit(f.data, f.union("g_pbr", "b_pbr"), f.lam_gamma)
     ),
 }
@@ -280,7 +281,7 @@ def estimate_suite(
     out: Dict[str, SuiteEntry] = {}
     for tag in tags:
         try:
-            out[tag] = SuiteEntry(result=_ROSTER[tag](fits, tag))
+            out[tag] = SuiteEntry(result=_ROSTER[tag](fits))
         except PbrdrError as exc:
             # A kept traceback would hold ``out`` and ``data`` in a reference
             # cycle; so would the exception a solver raised this one from.
@@ -310,7 +311,5 @@ def ate_estimate(data: Dataset, estimator: str = "P-BR") -> AteResult:
     arm1 = estimate_one(data, estimator)
     arm0 = estimate_one(data.swap_treatment(), estimator)
     ate = arm1.mu_hat - arm0.mu_hat
-    diff = arm1.influence - arm0.influence
-    se = float(np.std(diff, ddof=1)) / math.sqrt(data.n) if data.n > 1 else 0.0
-    ci = (ate - CI_MULTIPLIER * se, ate + CI_MULTIPLIER * se)
+    _, se, ci = _interval(ate, arm1.influence - arm0.influence)
     return AteResult(ate, se, ci, arm1, arm0)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -223,8 +224,8 @@ def draw_dataset(
 
 @dataclass
 class MetricsRow:
-    """Monte Carlo summary for one estimator; ``failed_by_class`` splits
-    ``n_failed`` by exception class name."""
+    """Monte Carlo summary for one estimator; ``failed_by_class`` counts the
+    failed replications by exception class name, and ``n_failed`` sums it."""
 
     bias: float
     rmse: float
@@ -232,8 +233,11 @@ class MetricsRow:
     mcsd: float
     asse: float
     cov: float
-    n_failed: int = 0
     failed_by_class: Dict[str, int] = field(default_factory=dict)
+
+    @property
+    def n_failed(self) -> int:
+        return sum(self.failed_by_class.values())
 
 
 @dataclass
@@ -307,22 +311,26 @@ def run_monte_carlo(
     """Run ``spec.reps`` replications and aggregate per-estimator metrics.
 
     Replications where an estimator fails are excluded from that
-    estimator's metrics and counted in ``n_failed``, and by exception class
-    in ``failed_by_class``. Aggregation folds in replication-index order, so
-    parallel and serial execution produce identical tables.
+    estimator's metrics and counted by exception class in
+    ``failed_by_class``. ``min(n_jobs, spec.reps, os.cpu_count())`` worker
+    processes run the replications (one means serially, in this process);
+    aggregation folds in replication-index order, so parallel and serial
+    execution produce identical tables.
     """
     tags = _resolve_tags(estimators)
     mu0 = build_model(spec).mu0
     # each job rebuilds its model from ``spec`` (a constant-time lookup), so
     # workers inherit no state and any start method gives the same records
     jobs = [(spec, tags, r) for r in range(spec.reps)]
-    if n_jobs > 1:
+    # a forking pool starts all its workers at once, busy or not
+    workers = min(n_jobs, spec.reps, os.cpu_count() or 1)
+    if workers > 1:
         # imported here so that the CLI and serial runs never load the pool
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             # ``map`` yields the results in job order
-            results = list(pool.map(_replicate, jobs, chunksize=max(1, spec.reps // (8 * n_jobs))))
+            results = list(pool.map(_replicate, jobs, chunksize=max(1, spec.reps // (8 * workers))))
     else:
         results = [_replicate(j) for j in jobs]
 
@@ -334,7 +342,6 @@ def run_monte_carlo(
             rows[tag] = compute_metrics(mu, se, [a <= mu0 <= b for a, b in zip(lo, hi)], mu0)
         else:
             rows[tag] = MetricsRow(*[math.nan] * 6)
-        rows[tag].n_failed = len(results) - len(ok)
         rows[tag].failed_by_class = dict(
             Counter(recs[tag][1] for recs in results if recs[tag][0] == "error")
         )

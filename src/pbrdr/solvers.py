@@ -32,7 +32,7 @@ Conventions shared by every fitter:
 
 * designs carry a leading intercept column; coordinate 0, the intercept, is
   the only unpenalized coordinate of every penalised fit;
-* the standardized design is built once per :class:`Dataset` and cached on it;
+* the standardized design is :meth:`Dataset.standardized`, built once per dataset;
 * covariates are always rescaled to unit sample standard deviation before
   fitting, as in glmnet, and coefficients mapped back afterwards, so the
   ``lam * ||.||_1`` penalties (and the ridge term of :func:`fit_br_refit`)
@@ -98,11 +98,10 @@ class Coefficients:
 
 @dataclass
 class NuisanceFit:
-    """A paired propensity/outcome fit plus the label of the method that produced it."""
+    """A paired propensity/outcome fit."""
 
     gamma: Coefficients
     beta: Coefficients
-    method: str
 
     def __post_init__(self) -> None:
         if self.gamma.coef.shape != self.beta.coef.shape:
@@ -161,31 +160,6 @@ def _iterate_norm(x: np.ndarray) -> float:
     over every guard, so that overflow is expected and silenced."""
     with np.errstate(over="ignore"):
         return float(np.linalg.norm(x))
-
-
-def _column_scales(x: np.ndarray) -> np.ndarray:
-    """Sample standard deviation (ddof=1) of each covariate; zeros map to 1."""
-    if x.shape[0] < 2:
-        return np.ones(x.shape[1])
-    s = np.std(x, axis=0, ddof=1)
-    return np.where(s > 0.0, s, 1.0)
-
-
-def _standardized_design(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Design with intercept, covariates scaled to unit sample SD, and the scales.
-
-    Both arrays are read-only and built once per dataset.
-    """
-    if "standardized" not in data._cache:
-        scales = _column_scales(data.x)
-        z = data.design()
-        if data.p:
-            z = z.copy()
-            z[:, 1:] /= scales
-            z.flags.writeable = False
-        scales.flags.writeable = False
-        data._cache["standardized"] = (z, scales)
-    return data._cache["standardized"]
 
 
 def _back_transform(coef: np.ndarray, scales: np.ndarray) -> np.ndarray:
@@ -289,15 +263,16 @@ def _working_set(solve, x0, lam, floor, budget):
 
 
 def _newton(
-    value_grad, hess, x0, divergence_error=None, norm_guard=NORM_GUARD, lam=0.0, tol=None, max_iter=None
+    value_grad, x0, divergence_error=None, norm_guard=NORM_GUARD, lam=0.0, tol=None, max_iter=None
 ):
     """Damped Newton with backtracking for a smooth convex part plus
     ``lam * ||x[1:]||_1``. ``value_grad(x)`` returns the smooth part's value
     and gradient on the mean scale (gradient None where the value is not
-    finite); ``hess`` is evaluated at accepted iterates only. Stops at the KKT
-    residual ``tol`` (``DEFAULT_TOL``) within ``max_iter`` iterations
-    (``DEFAULT_NEWTON_ITER``); with a ``divergence_error``, an iterate norm
-    above ``norm_guard`` raises it. Returns (x, residual, iterations).
+    finite); the closure carries its Hessian as ``value_grad.hess(x)``,
+    evaluated at accepted iterates only. Stops at the KKT residual ``tol``
+    (``DEFAULT_TOL``) within ``max_iter`` iterations (``DEFAULT_NEWTON_ITER``);
+    with a ``divergence_error``, an iterate norm above ``norm_guard`` raises
+    it. Returns (x, residual, iterations).
 
     At ``lam == 0`` each step is the plain Newton step on every coordinate.
     At ``lam > 0`` it is the orthant-wise step of Andrew & Gao (2007), exact
@@ -316,7 +291,7 @@ def _newton(
     """
     tol = DEFAULT_TOL if tol is None else tol
     max_iter = DEFAULT_NEWTON_ITER if max_iter is None else max_iter
-    certify = getattr(value_grad, "certify", None)
+    hess, certify = value_grad.hess, getattr(value_grad, "certify", None)
     x_start = x = np.array(x0, dtype=float)
     f, g = value_grad(x)
     if not np.isfinite(f):
@@ -502,7 +477,7 @@ def _fit_propensity_lasso(loss: Callable, data: Dataset, lam: float) -> Coeffici
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     _require_both_arms(data)  # also rejects fewer than two units
-    z, scales = _standardized_design(data)
+    z, scales = data.standardized()
     a, n = data.a, data.n
     x0 = np.zeros(data.p + 1)
     abar = a.mean()
@@ -514,9 +489,7 @@ def _fit_propensity_lasso(loss: Callable, data: Dataset, lam: float) -> Coeffici
     def solve(idx, x_idx, tol, budget):
         zw = z[:, idx]
         value_grad = loss(zw, a)
-        x_idx, kkt, done = _newton(
-            value_grad, value_grad.hess, x_idx, diverged, lam=lam, tol=tol, max_iter=budget
-        )
+        x_idx, kkt, done = _newton(value_grad, x_idx, diverged, lam=lam, tol=tol, max_iter=budget)
         return x_idx, kkt, done, z.T @ value_grad.residual(zw @ x_idx) / n
 
     coef, kkt, n_iter = _working_set(solve, x0, lam, DEFAULT_TOL, DEFAULT_NEWTON_ITER)
@@ -577,7 +550,7 @@ def _weighted_lasso(data: Dataset, weights: np.ndarray, lam: float) -> Coefficie
     matrix only, so a pass costs O(n p) plus the working set's, never O(n p^2).
     """
     n = data.n
-    z, scales = _standardized_design(data)
+    z, scales = data.standardized()
     lin = z.T @ (weights * data.y) / n
     if lam == 0.0:
         coef, _, kkt = _least_squares(z, weights, data.y)
@@ -603,7 +576,8 @@ def _weighted_lasso(data: Dataset, weights: np.ndarray, lam: float) -> Coefficie
             gb = gram @ b
             return 0.5 * float(b @ gb) - float(lin_w @ b), gb - lin_w
 
-        x_idx, kkt, done = _newton(value_grad, lambda b: gram, x_idx, lam=lam, tol=tol, max_iter=budget)
+        value_grad.hess = lambda b: gram
+        x_idx, kkt, done = _newton(value_grad, x_idx, lam=lam, tol=tol, max_iter=budget)
         return x_idx, kkt, done, z.T @ (weights * (zw @ x_idx)) / n - lin
 
     # Below 64 ulps of max|lin| the residual is float noise in the units of y.
@@ -660,7 +634,7 @@ def fit_logistic_mle(data: Dataset) -> Coefficients:
     _require_both_arms(data)
     if data.n <= data.p + 1:
         raise RankDeficient("logistic MLE requires n > p + 1")
-    z, scales = _standardized_design(data)
+    z, scales = data.standardized()
     loss = _logistic_value_grad(z, data.a)
     # Logistic coefficients of norm ~100 on the standardized scale put every
     # fitted probability at 0/1 within float resolution: separation, even if
@@ -668,7 +642,6 @@ def fit_logistic_mle(data: Dataset) -> Coefficients:
     try:
         coef, res, n_iter = _newton(
             loss,
-            loss.hess,
             np.zeros(data.p + 1),
             Separation("coefficient norm diverged; data appear perfectly separated"),
             norm_guard=100.0,
@@ -752,7 +725,7 @@ def fit_br_refit(data: Dataset, selected: Iterable[int], lambda_ridge: float) ->
     selected, sub = _restrict(data, selected, "selected")
     _require_both_arms(data)
 
-    z, scales = _standardized_design(sub)
+    z, scales = sub.standardized()
     ridge = np.zeros(sub.p + 1)
     ridge[1:] = 2.0 * lambda_ridge
     loss = _calibration_value_grad(z, sub.a)
@@ -762,15 +735,12 @@ def fit_br_refit(data: Dataset, selected: Iterable[int], lambda_ridge: float) ->
         val += 0.5 * float(ridge @ coef**2)
         return val, None if grad is None else grad + ridge * coef
 
+    value_grad.hess = lambda coef: loss.hess(coef) + np.diag(ridge)
     x0 = np.zeros(sub.p + 1)
     abar = sub.a.mean()
     x0[0] = math.log(abar / (1.0 - abar))
-    coef, res, n_iter = _newton(
-        value_grad,
-        lambda coef: loss.hess(coef) + np.diag(ridge),
-        x0,
-        UnboundedObjective("ridge-stabilised propensity solve diverged"),
-    )
+    diverged = UnboundedObjective("ridge-stabilised propensity solve diverged")
+    coef, res, n_iter = _newton(value_grad, x0, diverged)
     gamma_sub = _back_transform(coef, scales)
     weights = _inverse_odds_weights(sub, gamma_sub)
     beta_sub = _weighted_lasso(sub, weights, 0.0)
@@ -778,5 +748,4 @@ def fit_br_refit(data: Dataset, selected: Iterable[int], lambda_ridge: float) ->
     return NuisanceFit(
         _embed(Coefficients(gamma_sub, lambda_ridge, res, n_iter), index, data.p + 1),
         _embed(beta_sub, index, data.p + 1),
-        "DS-P-BR",
     )

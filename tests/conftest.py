@@ -1,3 +1,6 @@
+import concurrent.futures
+import os
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -36,3 +39,29 @@ def write_csv(data, path):
 @pytest.fixture
 def dataset():
     return random_dataset(0)
+
+
+@pytest.fixture
+def recorded_pools(monkeypatch):
+    """Replace ``concurrent.futures.ProcessPoolExecutor`` by a stand-in that
+    records the ``max_workers`` of every pool made and maps in this process,
+    so no worker process starts; ``os.cpu_count`` reports 64 unless a test
+    patches it again. Returns the list of recorded ``max_workers``."""
+    made = []
+
+    class Pool:
+        def __init__(self, max_workers=None, **kwargs):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    return made

@@ -358,13 +358,13 @@ def test_criterion_8_double_robustness_algebra():
         y = z @ beta_vec
         data = Dataset(y, a, x)
         b = Coefficients(beta_vec, 0.0, 0.0)
-        dr = dr_estimate(data, NuisanceFit(g, b, "MLE"))
+        dr = dr_estimate(data, NuisanceFit(g, b))
         orr = or_estimate(data, b)
         worst_or = max(worst_or, abs(dr.mu_hat - orr.mu_hat))
         # (b) outcome model identically zero: DR == IPTW
         data2 = Dataset(rng.standard_normal(n), a, x)
         b0 = Coefficients(np.zeros(p + 1), 0.0, 0.0)
-        dr2 = dr_estimate(data2, NuisanceFit(g, b0, "MLE"))
+        dr2 = dr_estimate(data2, NuisanceFit(g, b0))
         ipw = iptw_estimate(data2, g)
         worst_iptw = max(worst_iptw, abs(dr2.mu_hat - ipw.mu_hat))
     ok = worst_or <= 1e-12 and worst_iptw <= 1e-12

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_dataset, write_csv
-from pbrdr import ConfigError, estimate_one
+from pbrdr import ConfigError, Dataset, estimate_one
 from pbrdr import cli, solvers
 from pbrdr.cli import CsvSchema, load_csv_dataset, main
 
@@ -130,6 +130,32 @@ def test_estimate_missing_column(csv_path):
     proc = run_cli("estimate", "--csv", str(path), "--outcome", "nope", "--treatment", "a")
     assert proc.returncode == 2
     assert "nope" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "csv, extra, code, fragment",
+    [
+        (None, ["--treatment", "y"], 2, "outcome and treatment columns must be distinct"),
+        (None, ["--covariates", "x1,a"], 2, "covariate column 'a' clashes with outcome/treatment"),
+        ("empty", [], 2, "empty.csv: empty file"),
+        ("one-arm", ["--target", "ate"], 3, "DegenerateData: both treatment arms must be nonempty"),
+    ],
+)
+def test_estimate_input_checks(csv_path, tmp_path, capsys, csv, extra, code, fragment):
+    path, data = csv_path
+    if csv == "empty":
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+    elif csv == "one-arm":
+        path = tmp_path / "one_arm.csv"
+        write_csv(Dataset(data.y, np.ones(data.n), data.x), path)
+    assert main(["estimate", "--csv", str(path), "--outcome", "y", "--treatment", "a", *extra]) == code
+    assert fragment in capsys.readouterr().err
+
+
+def test_csv_schema_rejects_an_unknown_na_policy():
+    with pytest.raises(ConfigError, match="na_policy must be 'drop_rows' or 'error'"):
+        CsvSchema("y", "a", na_policy="skip")
 
 
 def test_estimate_too_few_rows(tmp_path):
@@ -458,6 +484,44 @@ def test_simulate_manifest_splits_failures_by_class(tmp_path, monkeypatch):
     assert rows[1] == "LASSO,nan,nan,nan,nan,nan,nan,3"
 
 
+def test_simulate_threads_are_bounded_by_the_replications(tmp_path, recorded_pools):
+    # the stand-in pool starts no process; os.cpu_count reports 64
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(SIM_CONFIG.replace("reps = 6", "reps = 4") + "estimators = OR-OLS\n")
+    args = ["simulate", "--config", str(cfg), "--out"]
+    assert main([*args, str(tmp_path / "many"), "--threads", "1000000"]) == 0
+    assert recorded_pools == [4]
+    assert main([*args, str(tmp_path / "one")]) == 0
+    assert recorded_pools == [4]  # one thread runs serially
+    name = "S1_uncorr_ORcorrect_PScorrect_n150_p15.csv"
+    assert (tmp_path / "many" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+
+def test_simulate_config_may_start_with_a_bom(tmp_path):
+    text = SIM_CONFIG.replace("reps = 6", "reps = 2") + "estimators = OR-OLS,P-BR\n"
+    (tmp_path / "plain.cfg").write_bytes(text.encode())
+    (tmp_path / "bom.cfg").write_bytes(b"\xef\xbb\xbf" + text.encode())
+    for stem in ("plain", "bom"):
+        args = ["simulate", "--config", str(tmp_path / f"{stem}.cfg"), "--out", str(tmp_path / stem)]
+        assert main(args) == 0
+    name = "S1_uncorr_ORcorrect_PScorrect_n150_p15.csv"
+    assert (tmp_path / "bom" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+    config = [json.loads((tmp_path / s / "manifest.json").read_text())["config"] for s in ("plain", "bom")]
+    assert config[1]["text"] == config[0]["text"] == text
+
+
+@pytest.mark.parametrize(
+    "line, bad, fragment",
+    [("reps = 6", "reps = 0", "reps must be at least 1"), ("n = 150", "n = 1", "n must be at least 2")],
+)
+def test_simulate_cell_checks_are_input_errors(tmp_path, capsys, line, bad, fragment):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(SIM_CONFIG.replace(line, bad))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert fragment in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_unknown_estimator(tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(SIM_CONFIG + "estimators = P-BR,NOPE\n")
@@ -564,6 +628,22 @@ def test_bias_surface_negative_seed(tmp_path, capsys):
                  "--beta-range", "0:1:0.5", "--seed", "-3", "--out", str(tmp_path / "o")])
     assert code == 2
     assert "seed must be a nonnegative integer, got -3" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "option, value, fragment",
+    [
+        ("--gamma-range", "a:1:0.5", "--gamma-range must contain numbers, got 'a:1:0.5'"),
+        ("--beta-range", "1:0:0.5", "--beta-range: upper bound 0.0 below lower bound 1.0"),
+        ("--n-large", "1", "n_large must be at least 2"),
+    ],
+)
+def test_bias_surface_input_checks(tmp_path, capsys, option, value, fragment):
+    options = {"--gamma-range": "0:1:0.5", "--beta-range": "0:1:0.5", "--n-large": "100", option: value}
+    argv = ["bias-surface", "--variant", "fig1", *(f"{k}={v}" for k, v in options.items())]
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+    assert fragment in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

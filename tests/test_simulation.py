@@ -287,6 +287,11 @@ def test_metrics_lower_median_for_even_count():
     assert row.mae == 2.0  # lower of the two middle absolute errors {2, 5}
 
 
+def test_metrics_need_an_estimate():
+    with pytest.raises(ValueError, match="need at least one estimate"):
+        compute_metrics([], [], [], 0.0)
+
+
 def test_metrics_single_rep_degenerate():
     row = compute_metrics([3.7], [0.4], [False], 3.0)
     assert row.bias == pytest.approx(0.7)
@@ -348,6 +353,20 @@ def test_runner_parallel_equals_serial():
     serial = run_monte_carlo(spec, ["P-BR", "LASSO"], n_jobs=1)
     parallel = run_monte_carlo(spec, ["P-BR", "LASSO"], n_jobs=2)
     assert serial.to_csv_text() == parallel.to_csv_text()
+
+
+@pytest.mark.parametrize(
+    "n_jobs, cpus, workers",
+    [(1_000_000, 64, [4]), (1_000_000, 3, [3]), (1_000_000, None, []), (2, 64, [2]), (1, 64, [])],
+)
+def test_runner_bounds_its_workers_by_reps_and_cpus(recorded_pools, monkeypatch, n_jobs, cpus, workers):
+    # the stand-in pool starts no process; a bound of 1 runs serially, as
+    # when the CPU count is unknown
+    monkeypatch.setattr("os.cpu_count", lambda: cpus)
+    spec = spec_s1(n=120, p=15, reps=4)
+    table = run_monte_carlo(spec, ["OR-OLS"], n_jobs=n_jobs)
+    assert recorded_pools == workers
+    assert table.to_csv_text() == run_monte_carlo(spec, ["OR-OLS"]).to_csv_text()
 
 
 def test_replicate_is_start_method_independent():

@@ -192,12 +192,11 @@ def test_newton_divergence_guard_is_silent_on_overflow():
     def value_grad(x):
         return -float(x[0]), np.array([-1.0])
 
+    value_grad.hess = lambda x: np.array([[1e-300]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(UnboundedObjective):
-            solvers._newton(
-                value_grad, lambda x: np.array([[1e-300]]), np.zeros(1), UnboundedObjective("diverged")
-            )
+            solvers._newton(value_grad, np.zeros(1), UnboundedObjective("diverged"))
 
 
 def test_import_leaves_scipy_unloaded():
@@ -780,7 +779,7 @@ def test_logistic_mle_is_plain_newton_on_a_balanced_sample():
     a[rng.permutation(n)[: n // 2]] = 1.0
     data = Dataset(rng.standard_normal(n), a, rng.standard_normal((n, p)))
     fit = fit_logistic_mle(data)
-    z, scales = solvers._standardized_design(data)
+    z, scales = data.standardized()
     coef = np.zeros(p + 1)
     for it in range(solvers.DEFAULT_NEWTON_ITER):
         pi = solvers.expit(z @ coef)
@@ -1130,4 +1129,57 @@ def test_nuisance_fit_dimension_check():
     g = Coefficients(np.zeros(3), 0.0, 0.0)
     b = Coefficients(np.zeros(4), 0.0, 0.0)
     with pytest.raises(ValueError):
-        NuisanceFit(g, b, "MLE")
+        NuisanceFit(g, b)
+
+
+# ---------------------------------------------------------------------------
+# input checks
+# ---------------------------------------------------------------------------
+
+
+def _control_only(d):
+    return Dataset(d.y, np.zeros(d.n), d.x)
+
+
+def _coef(d, value=0.0):
+    return solvers.Coefficients(np.full(d.p + 1, value), 0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "call, exc, fragment",
+    [
+        (lambda d: fit_calibration_lasso(d, -0.1), ValueError, "lambda must be nonnegative"),
+        (lambda d: fit_weighted_outcome_lasso(d, _coef(d), -0.1), ValueError, "lambda_beta must be nonnegative"),
+        (
+            lambda d: fit_weighted_outcome_lasso(_control_only(d), _coef(d), 0.1),
+            DegenerateData,
+            "no treated units; the outcome model cannot be fit",
+        ),
+        (lambda d: fit_weighted_outcome_lasso(d, _coef(d, np.nan), 0.1), ValueError, "gamma_hat must be finite"),
+        (lambda d: fit_linear_lasso(d, -0.1), ValueError, "lambda must be nonnegative"),
+        (
+            lambda d: fit_linear_lasso(_control_only(d), 0.1),
+            DegenerateData,
+            "no treated units; the outcome lasso cannot be fit",
+        ),
+        (lambda d: fit_ols(_control_only(d)), DegenerateData, "no treated units; OLS cannot be fit"),
+        (lambda d: post_lasso_refit(d, [1], "both"), ValueError, "which must be 'propensity' or 'outcome'"),
+        (lambda d: fit_br_refit(d, [1], 0.0), ValueError, "lambda_ridge must be positive"),
+    ],
+    ids=[
+        "calibration-lambda", "weighted-lambda", "weighted-no-treated", "weighted-gamma",
+        "linear-lambda", "linear-no-treated", "ols-no-treated", "refit-which", "br-ridge",
+    ],
+)
+def test_input_checks(dataset, call, exc, fragment):
+    with pytest.raises(exc, match=fragment):
+        call(dataset)
+
+
+@pytest.mark.parametrize("which", ["propensity", "outcome"])
+def test_post_lasso_refit_size_guard_at_p_much_larger_than_n(which):
+    # a selection as large as the sample, as lasso unions reach at p >> n
+    data = random_dataset(4, n=40, p=200)
+    relevant = data.n if which == "propensity" else data.n_treated
+    with pytest.raises(RankDeficient, match=f"{relevant} selected covariates cannot be refit on {relevant} "):
+        post_lasso_refit(data, range(1, relevant + 1), which)
