@@ -24,6 +24,7 @@ which stabilises sample-size sweeps.
 
 from __future__ import annotations
 
+import atexit
 import itertools
 import math
 import os
@@ -303,6 +304,48 @@ def _replicate(args: Tuple[ScenarioSpec, Tuple[str, ...], int]):
     }
 
 
+# the worker pool kept for the life of the process, as ``(workers, executor)``;
+# empty until a call needs more than one worker
+_pool: Optional[tuple] = None
+
+
+def _close_pool() -> None:
+    """Shut the kept pool down, if there is one, and empty its slot."""
+    global _pool
+    if _pool is not None:
+        pool, _pool = _pool[1], None
+        pool.shutdown()
+
+
+def _map_in_pool(jobs: list, workers: int, chunksize: int) -> list:
+    """``_replicate`` over ``jobs`` in the kept pool of ``workers`` processes,
+    results in job order. A pool of another size is shut down and replaced;
+    a kept pool whose workers died since its last use is replaced once."""
+    global _pool
+    # imported here so that the CLI and serial runs never load the pool
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    kept = _pool is not None and _pool[0] == workers
+    if not kept:
+        _close_pool()
+        _pool = (workers, ProcessPoolExecutor(max_workers=workers))
+        # shut down before the interpreter tears its modules down; one hook
+        # however many pools the process makes
+        atexit.unregister(_close_pool)
+        atexit.register(_close_pool)
+    try:
+        return list(_pool[1].map(_replicate, jobs, chunksize=chunksize))
+    except BaseException as exc:
+        # ``map`` has cancelled the jobs it had not started; CPython 3.11's
+        # ``shutdown(cancel_futures=True)`` can hang after a pickling error
+        _close_pool()
+        if kept and isinstance(exc, BrokenProcessPool):
+            # a kept worker died between calls (say, killed for memory)
+            return _map_in_pool(jobs, workers, chunksize)
+        raise
+
+
 def run_monte_carlo(
     spec: ScenarioSpec,
     estimators: Optional[Sequence[str]] = None,
@@ -316,6 +359,14 @@ def run_monte_carlo(
     processes run the replications (one means serially, in this process);
     aggregation folds in replication-index order, so parallel and serial
     execution produce identical tables.
+
+    The worker pool is made once per process and serves every later call
+    with the same worker count; it is shut down at exit, or at once if a
+    call fails. A worker sees only the job ``(spec, tags, r)``, so neither
+    the reuse nor the start method changes a record. Module settings changed
+    after the first parallel call (say, a patched
+    ``solvers.DEFAULT_NEWTON_ITER``) do not reach running workers, as under
+    the ``spawn`` start method.
     """
     tags = _resolve_tags(estimators)
     mu0 = build_model(spec).mu0
@@ -325,12 +376,7 @@ def run_monte_carlo(
     # a forking pool starts all its workers at once, busy or not
     workers = min(n_jobs, spec.reps, os.cpu_count() or 1)
     if workers > 1:
-        # imported here so that the CLI and serial runs never load the pool
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            # ``map`` yields the results in job order
-            results = list(pool.map(_replicate, jobs, chunksize=max(1, spec.reps // (8 * workers))))
+        results = _map_in_pool(jobs, workers, max(1, spec.reps // (8 * workers)))
     else:
         results = [_replicate(j) for j in jobs]
 

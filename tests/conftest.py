@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 from scipy.special import expit
 
-from pbrdr import Dataset
+from pbrdr import Dataset, simulation
 
 settings.register_profile(
     "ci",
@@ -46,22 +46,19 @@ def recorded_pools(monkeypatch):
     """Replace ``concurrent.futures.ProcessPoolExecutor`` by a stand-in that
     records the ``max_workers`` of every pool made and maps in this process,
     so no worker process starts; ``os.cpu_count`` reports 64 unless a test
-    patches it again. Returns the list of recorded ``max_workers``."""
+    patches it again. The runner's kept pool is emptied for the test, so a
+    pool kept by an earlier test neither serves its calls nor sees its
+    stand-ins. Returns the list of recorded ``max_workers``."""
     made = []
 
     class Pool:
         def __init__(self, max_workers=None, **kwargs):
             made.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
         def map(self, fn, *iterables, chunksize=1):
             return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(simulation, "_pool", None)
     return made

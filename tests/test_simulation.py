@@ -3,6 +3,10 @@
 import itertools
 import math
 import multiprocessing
+import os
+import pickle
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 from pathlib import Path
@@ -23,6 +27,7 @@ from pbrdr import (
     scenario1_model,
     scenario2_model,
 )
+from pbrdr import simulation
 from pbrdr.bias_surface import VARIANTS, _outcome_mean, target_mean
 from pbrdr.simulation import _replicate, _s1_coefficients, _s2_features, build_model, draw_dataset
 
@@ -367,6 +372,78 @@ def test_runner_bounds_its_workers_by_reps_and_cpus(recorded_pools, monkeypatch,
     table = run_monte_carlo(spec, ["OR-OLS"], n_jobs=n_jobs)
     assert recorded_pools == workers
     assert table.to_csv_text() == run_monte_carlo(spec, ["OR-OLS"]).to_csv_text()
+
+
+@pytest.fixture
+def own_pool(monkeypatch):
+    """Empty the runner's pool slot for the test and shut down whatever pool
+    the test leaves in it; a pool kept by an earlier test is restored."""
+    monkeypatch.setattr(simulation, "_pool", None)
+    yield
+    simulation._close_pool()
+
+
+def test_runner_keeps_one_pool_across_calls(own_pool):
+    spec = spec_s1(n=120, p=15, reps=4)
+    serial = run_monte_carlo(spec, ["P-BR", "OR-OLS"]).to_csv_text()
+    first = run_monte_carlo(spec, ["P-BR", "OR-OLS"], n_jobs=2).to_csv_text()
+    pool = simulation._pool[1]
+    second = run_monte_carlo(spec, ["P-BR", "OR-OLS"], n_jobs=2).to_csv_text()
+    assert simulation._pool[1] is pool
+    assert first == second == serial
+
+
+def test_runner_replaces_a_pool_of_another_size(own_pool, monkeypatch):
+    # the old pool never ran a job, so it never started a process
+    old = ProcessPoolExecutor(max_workers=1)
+    monkeypatch.setattr(simulation, "_pool", (3, old))
+    monkeypatch.setattr("os.cpu_count", lambda: 64)
+    spec = spec_s1(n=120, p=15, reps=2)
+    table = run_monte_carlo(spec, ["OR-OLS"], n_jobs=8)
+    assert simulation._pool[0] == 2 and simulation._pool[1] is not old
+    with pytest.raises(RuntimeError, match="shutdown"):
+        old.submit(int)
+    assert table.to_csv_text() == run_monte_carlo(spec, ["OR-OLS"]).to_csv_text()
+
+
+def test_runner_replaces_a_pool_whose_worker_died(own_pool):
+    spec = spec_s1(n=120, p=15, reps=6)
+    serial = run_monte_carlo(spec, ["OR-OLS"]).to_csv_text()
+    run_monte_carlo(spec, ["OR-OLS"], n_jobs=2)
+    broken = simulation._pool[1]
+    assert broken.submit(os._exit, 1).exception(timeout=60) is not None
+    assert run_monte_carlo(spec, ["OR-OLS"], n_jobs=2).to_csv_text() == serial
+    assert simulation._pool[1] is not broken
+
+
+def test_runner_failure_shuts_the_pool_down(own_pool, monkeypatch):
+    # a job that cannot be pickled fails in ``map``; the pool goes with it
+    spec = spec_s1(n=120, p=15, reps=4)
+    run_monte_carlo(spec, ["OR-OLS"], n_jobs=2)
+    pool = simulation._pool[1]
+    monkeypatch.setattr(simulation, "_replicate", lambda job: job)
+    with pytest.raises((pickle.PicklingError, AttributeError)):
+        run_monte_carlo(spec, ["OR-OLS"], n_jobs=2)
+    assert simulation._pool is None
+    with pytest.raises(RuntimeError, match="shutdown"):
+        pool.submit(int)
+
+
+def test_kept_pool_exits_silently_with_its_workers():
+    code = (
+        "from pbrdr import ScenarioSpec, run_monte_carlo, simulation\n"
+        "for seed in (1, 2):\n"
+        "    spec = ScenarioSpec('S1', 120, 15, False, True, True, reps=4, seed=seed)\n"
+        "    run_monte_carlo(spec, ['OR-OLS'], n_jobs=2)\n"
+        "print(*simulation._pool[1]._processes)\n"
+    )
+    proc = subprocess.run([sys.executable, "-X", "dev", "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == ""
+    pids = [int(w) for w in proc.stdout.split()]
+    assert len(pids) == 2
+    for pid in pids:  # joined before the process exited
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 def test_replicate_is_start_method_independent():
