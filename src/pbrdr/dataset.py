@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -24,6 +25,13 @@ def _read_only(source, vector: bool) -> np.ndarray:
     return arr
 
 
+def _columns(arr: np.ndarray, index: list[int]) -> np.ndarray:
+    """Read-only ``arr.take(index, axis=-1)``: C-ordered, unlike ``arr[:, index]``."""
+    out = arr.take(index, axis=-1)
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Analysis units: outcome vector ``y``, binary treatment ``a``, covariate matrix ``x``.
@@ -38,8 +46,8 @@ class Dataset:
     A dataset is immutable: its fields cannot be rebound and ``y``, ``a`` and
     ``x`` are read-only arrays. ``_cache`` holds arrays derived from ``x``
     alone (:meth:`design` and :meth:`standardized`, the only scale the
-    fitters solve on), built once and shared with the recoded dataset from
-    :meth:`swap_treatment`; no other module touches it.
+    fitters solve on), built once, shared with the recoded dataset from
+    :meth:`swap_treatment` and cut for :meth:`restrict`; no other module touches it.
     """
 
     y: np.ndarray
@@ -94,14 +102,29 @@ class Dataset:
         if cached is None:
             scales = np.std(self.x, axis=0, ddof=1) if self.n > 1 else np.ones(self.p)
             scales = np.where(scales > 0.0, scales, 1.0)
-            z = self.design()
-            if self.p:
-                z = z.copy()
-                z[:, 1:] /= scales
-                z.flags.writeable = False
+            z = np.empty((self.n, self.p + 1))
+            z[:, 0] = 1.0
+            np.divide(self.x, scales, out=z[:, 1:])
+            z.flags.writeable = False
             scales.flags.writeable = False
             cached = self._cache["standardized"] = (z, scales)
         return cached
+
+    def restrict(self, positions: Iterable[int], name: str) -> tuple[list[int], "Dataset"]:
+        """The sorted distinct coefficient positions ``1..p`` in ``positions``
+        (``name`` labels the range error) and the dataset of their covariates.
+        It shares ``y`` and ``a``; its design, standardized design and scales
+        are this dataset's cut to those columns, so a refit solves on the
+        scale of the lasso that selected them."""
+        selected = sorted(set(int(j) for j in positions))
+        if any(j < 1 or j > self.p for j in selected):
+            raise ValueError(f"{name} entries must lie in 1..{self.p}")
+        covariates = [j - 1 for j in selected]
+        z, scales = self.standardized()
+        sub = Dataset(self.y, self.a, _columns(self.x, covariates))
+        sub._cache["design"] = _columns(self.design(), [0] + selected)
+        sub._cache["standardized"] = (_columns(z, [0] + selected), _columns(scales, covariates))
+        return selected, sub
 
     def swap_treatment(self) -> "Dataset":
         """Recode the treatment (0 <-> 1), used for the second counterfactual arm.

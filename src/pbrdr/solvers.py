@@ -32,7 +32,7 @@ Conventions shared by every fitter:
 
 * designs carry a leading intercept column; coordinate 0, the intercept, is
   the only unpenalized coordinate of every penalised fit;
-* the standardized design is :meth:`Dataset.standardized`, built once per dataset;
+* the standardized design is :meth:`Dataset.standardized`, built once per dataset (refits cut it);
 * covariates are always rescaled to unit sample standard deviation before
   fitting, as in glmnet, and coefficients mapped back afterwards, so the
   ``lam * ||.||_1`` penalties (and the ridge term of :func:`fit_br_refit`)
@@ -164,8 +164,7 @@ def _iterate_norm(x: np.ndarray) -> float:
 
 def _back_transform(coef: np.ndarray, scales: np.ndarray) -> np.ndarray:
     out = coef.copy()
-    if scales.size:
-        out[1:] /= scales
+    out[1:] /= scales
     return out
 
 
@@ -474,7 +473,7 @@ def _fit_propensity_lasso(loss: Callable, data: Dataset, lam: float) -> Coeffici
     iterate norm above ``NORM_GUARD`` raises :class:`UnboundedObjective`
     (e.g. separable treatment at ``lam == 0``).
     """
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError("lambda must be nonnegative")
     _require_both_arms(data)  # also rejects fewer than two units
     z, scales = data.standardized()
@@ -521,20 +520,6 @@ def fit_logistic_lasso(data: Dataset, lam: float) -> Coefficients:
 # below ``estimators.POSITIVITY_THRESHOLD`` (1e-6), the modelling limit at
 # which the estimators refuse to divide by a fitted propensity.
 _WEIGHT_DEGENERACY = 1e-12
-
-
-def _inverse_odds_weights(data: Dataset, gamma: np.ndarray) -> np.ndarray:
-    """Per-unit weights ``A_i (1-pi_i)/pi_i`` with degeneracy checks on treated units."""
-    u = data.design() @ gamma
-    treated = data.a == 1.0
-    pi_t = expit(u[treated])
-    if np.any(pi_t <= _WEIGHT_DEGENERACY) or np.any(pi_t >= 1.0):
-        raise DegenerateWeights(
-            "fitted propensities reached 0 or 1 (to floating tolerance) on treated units"
-        )
-    w = np.zeros(data.n)
-    w[treated] = np.exp(-u[treated])
-    return w
 
 
 def _weighted_lasso(data: Dataset, weights: np.ndarray, lam: float) -> Coefficients:
@@ -601,14 +586,22 @@ def fit_weighted_outcome_lasso(
     its weighted-score equation
     ``(1/n) sum_i w_i A_i (y_i - b.z_i) z_i = lam * subgrad``.
     """
-    if lambda_beta < 0:
+    if not lambda_beta >= 0:
         raise ValueError("lambda_beta must be nonnegative")
     if data.n_treated == 0:
         raise DegenerateData("no treated units; the outcome model cannot be fit")
     if not np.all(np.isfinite(gamma_hat.coef)):
         raise ValueError("gamma_hat must be finite")
-    weights = _inverse_odds_weights(data, gamma_hat.coef)
-    lam = lambda_beta * float(weights[data.a == 1.0].sum()) / data.n
+    u = data.design() @ gamma_hat.coef
+    treated = data.a == 1.0
+    pi_t = expit(u[treated])
+    if np.any(pi_t <= _WEIGHT_DEGENERACY) or np.any(pi_t >= 1.0):
+        raise DegenerateWeights(
+            "fitted propensities reached 0 or 1 (to floating tolerance) on treated units"
+        )
+    weights = np.zeros(data.n)
+    weights[treated] = np.exp(-u[treated])
+    lam = lambda_beta * float(weights[treated].sum()) / data.n
     return _weighted_lasso(data, weights, lam)
 
 
@@ -618,7 +611,7 @@ def fit_linear_lasso(data: Dataset, lam: float) -> Coefficients:
     Unit weights: the objective is ``(1/2n) sum_i A_i (y_i - b.z_i)^2 + lam ||b||_1``
     with ``n`` the full number of rows.
     """
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError("lambda must be nonnegative")
     if data.n_treated == 0:
         raise DegenerateData("no treated units; the outcome lasso cannot be fit")
@@ -675,17 +668,6 @@ def fit_ols(data: Dataset) -> Coefficients:
     return Coefficients(coef, 0.0, kkt, 1)
 
 
-def _restrict(data: Dataset, positions: Iterable[int], name: str) -> tuple[list[int], Dataset]:
-    """The sorted distinct coefficient positions ``1..p`` in ``positions`` and
-    the dataset of their covariates; ``name`` labels the range error."""
-    selected = sorted(set(int(j) for j in positions))
-    if any(j < 1 or j > data.p for j in selected):
-        raise ValueError(f"{name} entries must lie in 1..{data.p}")
-    x = data.x.take([j - 1 for j in selected], axis=1)
-    x.flags.writeable = False  # handed over: the dataset need not copy it
-    return selected, Dataset(data.y, data.a, x)
-
-
 def post_lasso_refit(data: Dataset, active_union: Iterable[int], which: str) -> Coefficients:
     """Refit an unpenalized model on the selected covariates only.
 
@@ -696,7 +678,7 @@ def post_lasso_refit(data: Dataset, active_union: Iterable[int], which: str) -> 
     """
     if which not in ("propensity", "outcome"):
         raise ValueError("which must be 'propensity' or 'outcome'")
-    selected, sub = _restrict(data, active_union, "active_union")
+    selected, sub = data.restrict(active_union, "active_union")
     relevant = sub.n_treated if which == "outcome" else sub.n
     if len(selected) + 1 >= relevant:
         raise RankDeficient(
@@ -716,13 +698,12 @@ def fit_br_refit(data: Dataset, selected: Iterable[int], lambda_ridge: float) ->
         ``(1/n) sum_i {1 - A_i/pi(z_i; g)} z_i + 2 * lambda_ridge * g = 0``,
 
     i.e. they minimise the strictly convex calibration loss plus
-    ``lambda_ridge * ||g||_2^2``. The outcome coefficients then solve the
-    inverse-odds-weighted normal equations exactly (no penalty) on the same
-    restricted design.
+    ``lambda_ridge * ||g||_2^2``. The outcome coefficients are then
+    :func:`fit_weighted_outcome_lasso` at zero penalty on the same columns.
     """
-    if lambda_ridge <= 0:
+    if not 0 < lambda_ridge < math.inf:
         raise ValueError("lambda_ridge must be positive")
-    selected, sub = _restrict(data, selected, "selected")
+    selected, sub = data.restrict(selected, "selected")
     _require_both_arms(data)
 
     z, scales = sub.standardized()
@@ -741,11 +722,7 @@ def fit_br_refit(data: Dataset, selected: Iterable[int], lambda_ridge: float) ->
     x0[0] = math.log(abar / (1.0 - abar))
     diverged = UnboundedObjective("ridge-stabilised propensity solve diverged")
     coef, res, n_iter = _newton(value_grad, x0, diverged)
-    gamma_sub = _back_transform(coef, scales)
-    weights = _inverse_odds_weights(sub, gamma_sub)
-    beta_sub = _weighted_lasso(sub, weights, 0.0)
+    gamma_sub = Coefficients(_back_transform(coef, scales), lambda_ridge, res, n_iter)
+    beta_sub = fit_weighted_outcome_lasso(sub, gamma_sub, 0.0)
     index = [0] + selected
-    return NuisanceFit(
-        _embed(Coefficients(gamma_sub, lambda_ridge, res, n_iter), index, data.p + 1),
-        _embed(beta_sub, index, data.p + 1),
-    )
+    return NuisanceFit(_embed(gamma_sub, index, data.p + 1), _embed(beta_sub, index, data.p + 1))

@@ -22,7 +22,9 @@ from pbrdr import (
     ScenarioSpec,
     SurfaceDgp,
     compute_metrics,
+    default_penalties,
     dr_estimate,
+    draw_dataset,
     evaluate_surface,
     fit_calibration_lasso,
     fit_weighted_outcome_lasso,
@@ -30,7 +32,9 @@ from pbrdr import (
     or_estimate,
     run_monte_carlo,
 )
+from pbrdr.simulation import build_model
 from pbrdr.solvers import (
+    DEFAULT_TOL,
     Coefficients,
     _calibration_value_grad,
     _logistic_value_grad,
@@ -251,6 +255,35 @@ def test_criterion_6_kkt_property_suite():
         f"stage-1 {worst_f1:.2e}, stage-2 {worst_f2:.2e}, zero-penalty exact-score "
         f"{worst_exact:.2e} (<= 1e-6)",
     )
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+def test_bias_reduction_property_at_p_much_larger_than_n(seed):
+    # P-BR's two sensitivities on the standardized design: d mu / d beta is the
+    # calibration score mean((1 - A/pi) z), and -d mu / d gamma the weighted
+    # outcome score mean(A (y - m) (1 - pi)/pi z). Each reaches its penalty
+    # level, lambda_gamma and lambda_beta * W / n (W the inverse-odds weight
+    # total), on its fit's active set and nowhere exceeds it. Seed 4 draws 250
+    # treated of 500, where W / n = 1 - n_t / n is also n_t / n; seed 5 tells
+    # the two apart.
+    spec = ScenarioSpec("S1", 500, 1000, False, True, True, 1, 0)
+    data = draw_dataset(build_model(spec), 500, 1000, False, np.random.default_rng(seed))
+    lam_gamma, lam_beta = default_penalties(data.n, data.p)
+    gamma = fit_calibration_lasso(data, lam_gamma)
+    beta = fit_weighted_outcome_lasso(data, gamma, lam_beta)
+    z = data.design() / _unit_sd(data)
+    pi = expit(data.design() @ gamma.coef)
+    odds = data.a * (1.0 - pi) / pi
+    lam_w = lam_beta * float(odds.sum()) / data.n
+    assert beta.lam == pytest.approx(lam_w, rel=1e-12)
+    d_beta = z.T @ (1.0 - data.a / pi) / data.n
+    d_gamma = z.T @ (odds * (data.y - data.design() @ beta.coef)) / data.n
+    # the calibration score is the loss gradient, the outcome score its negative
+    for score, fit, lam, sign in [(d_beta, gamma, lam_gamma, -1.0), (d_gamma, beta, lam_w, 1.0)]:
+        active = list(fit.active_set)
+        assert active and abs(score[0]) <= DEFAULT_TOL
+        assert np.max(np.abs(score[1:])) <= lam + DEFAULT_TOL
+        assert np.max(np.abs(score[active] - sign * lam * np.sign(fit.coef[active]))) <= DEFAULT_TOL
 
 
 # ---------------------------------------------------------------------------

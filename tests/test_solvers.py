@@ -714,6 +714,31 @@ def test_dataset_is_read_only_and_builds_its_design_once():
     swapped = data.swap_treatment()
     assert swapped.x is data.x and swapped.y is data.y and swapped.design() is z
     assert np.array_equal(swapped.a, 1.0 - data.a)
+    # a restriction shares y and a, and cuts the cached arrays to its columns
+    selected, sub = data.restrict([3, 1, 3], "selected")
+    assert selected == [1, 3] and sub.y is data.y and sub.a is data.a
+    z_std, scales = data.standardized()
+    for part, whole, index in [
+        (sub.x, data.x, [0, 2]),
+        (sub.design(), z, [0, 1, 3]),
+        (sub.standardized()[0], z_std, [0, 1, 3]),
+        (sub.standardized()[1], scales, [0, 2]),
+    ]:
+        assert part.flags.c_contiguous and not part.flags.writeable
+        assert part.tobytes() == whole.take(index, axis=-1).tobytes()
+    # so refits on two or more columns are bit for bit those on a dataset of the columns
+    fresh = Dataset(y, a, data.x[:, [0, 2]])
+
+    def refits(d, columns):
+        br = fit_br_refit(d, columns, 0.1)
+        refit = [post_lasso_refit(d, columns, which) for which in ("propensity", "outcome")]
+        return refit + [br.gamma, br.beta]
+
+    for mine, theirs in zip(refits(data, [1, 3]), refits(fresh, [1, 2])):
+        assert mine.coef[2] == 0.0 and mine.coef[[0, 1, 3]].tobytes() == theirs.coef.tobytes()
+        assert (mine.lam, mine.kkt_residual, mine.n_iter) == (
+            theirs.lam, theirs.kkt_residual, theirs.n_iter
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -1149,7 +1174,14 @@ def _coef(d, value=0.0):
     "call, exc, fragment",
     [
         (lambda d: fit_calibration_lasso(d, -0.1), ValueError, "lambda must be nonnegative"),
+        (lambda d: fit_calibration_lasso(d, math.nan), ValueError, "lambda must be nonnegative"),
+        (lambda d: fit_logistic_lasso(d, math.nan), ValueError, "lambda must be nonnegative"),
         (lambda d: fit_weighted_outcome_lasso(d, _coef(d), -0.1), ValueError, "lambda_beta must be nonnegative"),
+        (
+            lambda d: fit_weighted_outcome_lasso(d, _coef(d), math.nan),
+            ValueError,
+            "lambda_beta must be nonnegative",
+        ),
         (
             lambda d: fit_weighted_outcome_lasso(_control_only(d), _coef(d), 0.1),
             DegenerateData,
@@ -1157,6 +1189,7 @@ def _coef(d, value=0.0):
         ),
         (lambda d: fit_weighted_outcome_lasso(d, _coef(d, np.nan), 0.1), ValueError, "gamma_hat must be finite"),
         (lambda d: fit_linear_lasso(d, -0.1), ValueError, "lambda must be nonnegative"),
+        (lambda d: fit_linear_lasso(d, math.nan), ValueError, "lambda must be nonnegative"),
         (
             lambda d: fit_linear_lasso(_control_only(d), 0.1),
             DegenerateData,
@@ -1165,10 +1198,13 @@ def _coef(d, value=0.0):
         (lambda d: fit_ols(_control_only(d)), DegenerateData, "no treated units; OLS cannot be fit"),
         (lambda d: post_lasso_refit(d, [1], "both"), ValueError, "which must be 'propensity' or 'outcome'"),
         (lambda d: fit_br_refit(d, [1], 0.0), ValueError, "lambda_ridge must be positive"),
+        (lambda d: fit_br_refit(d, [1, 2], math.nan), ValueError, "lambda_ridge must be positive"),
+        (lambda d: fit_br_refit(d, [1, 2], math.inf), ValueError, "lambda_ridge must be positive"),
     ],
     ids=[
-        "calibration-lambda", "weighted-lambda", "weighted-no-treated", "weighted-gamma",
-        "linear-lambda", "linear-no-treated", "ols-no-treated", "refit-which", "br-ridge",
+        "calibration-lambda", "calibration-nan", "logistic-nan", "weighted-lambda", "weighted-nan",
+        "weighted-no-treated", "weighted-gamma", "linear-lambda", "linear-nan", "linear-no-treated",
+        "ols-no-treated", "refit-which", "br-ridge", "br-ridge-nan", "br-ridge-inf",
     ],
 )
 def test_input_checks(dataset, call, exc, fragment):
