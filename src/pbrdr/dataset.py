@@ -97,10 +97,21 @@ class Dataset:
     def standardized(self) -> tuple[np.ndarray, np.ndarray]:
         """Return the read-only design with its covariates scaled to unit
         sample SD (ddof=1; a constant column keeps scale 1), and the scales;
-        both are built on the first call and the same arrays returned after."""
+        both are built on the first call and the same arrays returned after.
+
+        ``np.std`` squares the deviations, which under- or overflow at extreme
+        covariate units; a column whose SD comes out beyond ``2**±500`` (or
+        not finite) has it recomputed on the column times a power of two
+        that brings its largest entry near 1, a scaling that is exact."""
         cached = self._cache.get("standardized")
         if cached is None:
-            scales = np.std(self.x, axis=0, ddof=1) if self.n > 1 else np.ones(self.p)
+            with np.errstate(over="ignore", invalid="ignore"):
+                scales = np.std(self.x, axis=0, ddof=1) if self.n > 1 else np.ones(self.p)
+            odd = ~((scales >= 2.0**-500) & (scales <= 2.0**500))
+            if odd.any():
+                cols = self.x.take(np.flatnonzero(odd), axis=1)
+                exponent = np.frexp(np.max(np.abs(cols), axis=0))[1]
+                scales[odd] = np.ldexp(np.std(np.ldexp(cols, -exponent), axis=0, ddof=1), exponent)
             scales = np.where(scales > 0.0, scales, 1.0)
             z = np.empty((self.n, self.p + 1))
             z[:, 0] = 1.0

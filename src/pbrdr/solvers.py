@@ -16,32 +16,30 @@ ridge-stabilised double-selection system) and the default penalty formulas.
 Every fitter returns a :class:`Coefficients` (``fit_br_refit`` a
 :class:`NuisanceFit` holding two of them).
 
-One iterative engine, damped Newton with orthant-wise steps under an l1
-penalty (:func:`_newton`, returning ``(x, kkt, iterations)``), solves every
-fit but the unpenalized squared losses. Each penalised fit runs it under one
-working-set loop, :func:`_working_set`: each pass solves on the working
-set's columns only, then checks the other coordinates' KKT conditions with
-the full design's gradient and adds every violator, so a fit returns only
-when the full design's KKT residual meets the tolerance. This is the KKT
-re-check of Tibshirani et al. (2012) without their strong rule, which at the
-default penalties keeps every column. The unpenalized squared losses (OLS,
-the post-selection outcome refits and the bias-reduced outcome equations)
-share one weighted least-squares solve, :func:`_least_squares`.
+One driver, :func:`_fit`, runs every iterative fit (the lassos at
+``lam > 0``, the logistic MLE and the ridge solve of :func:`fit_br_refit`):
+it standardizes, runs the one engine, damped Newton with orthant-wise steps
+under an l1 penalty (:func:`_newton`), on a working set of columns grown by
+the KKT re-check of Tibshirani et al. (2012) without their strong rule, and
+maps the result back. :func:`_newton`'s only other caller is the
+intercept-free one-coefficient slope fit of
+:func:`pbrdr.bias_surface._reference_slope`. The unpenalized squared losses
+(OLS, the post-selection outcome refits and the bias-reduced outcome
+equations) share one weighted least-squares solve, :func:`_least_squares`.
 
 Conventions shared by every fitter:
 
 * designs carry a leading intercept column; coordinate 0, the intercept, is
   the only unpenalized coordinate of every penalised fit;
-* the standardized design is :meth:`Dataset.standardized`, built once per dataset (refits cut it);
-* covariates are always rescaled to unit sample standard deviation before
-  fitting, as in glmnet, and coefficients mapped back afterwards, so the
-  ``lam * ||.||_1`` penalties (and the ridge term of :func:`fit_br_refit`)
-  apply to coefficients on the unit-SD scale; reported KKT residuals live on
-  that scale, which is the scale of the problem actually solved;
+* every fitter solves on :meth:`Dataset.standardized`, the covariates at
+  unit sample standard deviation as in glmnet, and maps the coefficients
+  back, so no estimate depends on the units of ``x``; the ``lam * ||.||_1``
+  penalties (and the ridge term of :func:`fit_br_refit`) and the reported
+  KKT residuals live on that scale, the scale of the problem solved;
 * the fitters and Newton read the tolerance ``DEFAULT_TOL`` and the one
-  iteration budget ``DEFAULT_NEWTON_ITER`` at call time; a penalised fit's
-  budget is shared by all its passes, and its ``n_iter`` is their total; a
-  spent budget raises :class:`NonConvergence`, never a partial result;
+  iteration budget ``DEFAULT_NEWTON_ITER`` at call time; a fit's budget is
+  shared by all its passes, and its ``n_iter`` is their total; a spent
+  budget raises :class:`NonConvergence`, never a partial result;
 * all score/KKT residuals are on the mean scale, i.e. ``(1/n) sum_i ...``;
 * solvers are pure functions of their inputs: no internal randomness.
 """
@@ -208,55 +206,6 @@ def _least_squares(z: np.ndarray, w: np.ndarray, y: np.ndarray) -> tuple[np.ndar
 
 
 # ---------------------------------------------------------------------------
-# working-set loop (every penalised fit runs under it)
-# ---------------------------------------------------------------------------
-
-
-def _working_set(solve, x0, lam, floor, budget):
-    """Solve an l1-penalised problem on a growing set of design columns.
-
-    ``solve(idx, x_idx, tol, budget)`` runs :func:`_newton` on the columns
-    ``idx`` only, warm-started at ``x_idx``, to the KKT residual ``tol``
-    within ``budget`` iterations, and returns ``(x_idx, kkt, iterations,
-    grad)``, ``grad`` the full design's gradient at its result. The set
-    starts with the intercept (its first coordinate) and the nonzero
-    coordinates. After each pass, the zero coordinates outside the set are
-    checked against the full gradient: the KKT residual is the larger of the
-    pass's and their excess of ``|grad_j|`` over ``lam``. Above ``floor``,
-    every coordinate with an excess joins, and the next pass is solved to a
-    tenth of the largest excess (never below ``floor``), so a pass on a set
-    that will still grow stays cheap (Massias, Gramfort & Salmon 2018), and a
-    pass with nothing left to add goes to ``floor`` at once. All passes share
-    one budget. Returns (x, kkt, iterations) as :func:`_newton` does, with
-    the iterations summed over the passes.
-    """
-    x = np.array(x0, dtype=float)
-    working = x != 0.0
-    working[0] = True
-    tol, used = floor, 0
-    while True:
-        idx = np.flatnonzero(working)
-        try:
-            x[idx], kkt, done, grad = solve(idx, x[idx], tol, budget - used)
-        except NonConvergence as exc:
-            raise NonConvergence(
-                f"{exc} on a working set of {idx.size} of {x.size} coordinates "
-                f"(budget {budget} shared by all passes)"
-            ) from None
-        used += done
-        # Working-set coordinates keep the pass's own residual: at large
-        # outcome scales the rounding of the two products with ``z`` alone
-        # can exceed the floor, and no further iteration would then lower it.
-        excess = np.where(working, 0.0, np.abs(grad) - lam)
-        outside = float(excess.max())
-        kkt = max(kkt, outside)
-        if kkt <= floor:
-            return x, kkt, used
-        working |= excess > 0.0
-        tol = max(floor, 0.1 * outside)
-
-
-# ---------------------------------------------------------------------------
 # damped Newton engine (convex problems with a Hessian, plus an optional l1)
 # ---------------------------------------------------------------------------
 
@@ -345,6 +294,64 @@ def _newton(
         x, g, big_f = x_new, g_new, big_f_new
         if divergence_error is not None and _iterate_norm(x) > norm_guard:
             raise divergence_error
+
+
+# ---------------------------------------------------------------------------
+# fitting driver (every iterative fit runs through it)
+# ---------------------------------------------------------------------------
+
+
+def _fit(loss, data, x0, lam, diverged=None, norm_guard=NORM_GUARD, floor=None):
+    """Minimise ``loss`` plus ``lam * ||x[1:]||_1`` on the standardized design
+    of ``data`` from ``x0``, on that scale; return the fit on the original one.
+
+    ``loss(z)`` builds the closure :func:`_newton` takes on the design columns
+    ``z``, with the per-unit score of ``u = z @ x`` as ``.residual``;
+    ``diverged`` and ``norm_guard`` are Newton's divergence guard. Each pass
+    solves on a working set of columns, at first the intercept and the
+    nonzero coordinates of ``x0`` (every column at ``lam == 0``). The other
+    coordinates are then checked against the full gradient
+    ``z' residual(u) / n``: the KKT residual is the larger of the pass's and
+    their excess of ``|grad_j|`` over ``lam``. Above ``floor``
+    (``DEFAULT_TOL``) every coordinate with an excess joins, and the next
+    pass goes to a tenth of the largest excess, never below ``floor``, so a
+    pass on a set that will still grow stays cheap (Massias, Gramfort &
+    Salmon 2018). All passes share one ``DEFAULT_NEWTON_ITER`` budget, and
+    ``n_iter`` is their total.
+    """
+    z, scales = data.standardized()
+    x = np.array(x0, dtype=float)
+    working = (x != 0.0) | (lam == 0.0)
+    working[0] = True
+    tol = floor = DEFAULT_TOL if floor is None else floor
+    used, budget = 0, DEFAULT_NEWTON_ITER
+    while True:
+        idx = np.flatnonzero(working)
+        full = idx.size == x.size
+        # ``z[:, idx]`` is a Fortran-ordered copy, on which BLAS rounds differently.
+        z_w = z if full else z[:, idx]
+        value_grad = loss(z_w)
+        try:
+            x[idx], kkt, done = _newton(value_grad, x[idx], diverged, norm_guard, lam, tol, budget - used)
+        except NonConvergence as exc:
+            raise NonConvergence(
+                f"{exc} on a working set of {idx.size} of {x.size} coordinates "
+                f"(budget {budget} shared by all passes)"
+            ) from None
+        used += done
+        outside = 0.0
+        if not full:
+            # Working-set coordinates keep the pass's own residual: at large
+            # outcome scales the rounding of the two products with ``z`` alone
+            # can exceed the floor, and no further iteration would then lower it.
+            grad = z.T @ value_grad.residual(z_w @ x[idx]) / data.n
+            excess = np.where(working, 0.0, np.abs(grad) - lam)
+            outside = float(excess.max())
+            working |= excess > 0.0
+        kkt = max(kkt, outside)
+        if kkt <= floor:
+            return Coefficients(_back_transform(x, scales), lam, kkt, used)
+        tol = max(floor, 0.1 * outside)
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +457,28 @@ def _logistic_value_grad(z: np.ndarray, a: np.ndarray) -> Callable:
     return value_grad
 
 
+def _squared_value_grad(z: np.ndarray, w: np.ndarray, y: np.ndarray) -> Callable:
+    """Mean-scale weighted squared loss ``(1/2n) sum_i w_i (y_i - u_i)^2``,
+    less its constant term, and its gradient, both from the Gram matrix
+    ``z'Wz / n`` built once, so an evaluation costs O(p^2), not O(n p)
+    (Hessian callable as ``.hess``, per-unit residual ``w_i (u_i - y_i)`` of
+    ``u = z @ coef`` as ``.residual``)."""
+    n = z.shape[0]
+    gram = (z * w[:, None]).T @ z / n
+    lin = z.T @ (w * y) / n
+
+    def residual(u: np.ndarray) -> np.ndarray:
+        return w * (u - y)
+
+    def value_grad(coef: np.ndarray):
+        gb = gram @ coef
+        return 0.5 * float(coef @ gb) - float(lin @ coef), gb - lin
+
+    value_grad.hess = lambda coef: gram
+    value_grad.residual = residual
+    return value_grad
+
+
 # ---------------------------------------------------------------------------
 # public fitters
 # ---------------------------------------------------------------------------
@@ -462,38 +491,21 @@ def _require_both_arms(data: Dataset) -> None:
 
 
 def _fit_propensity_lasso(loss: Callable, data: Dataset, lam: float) -> Coefficients:
-    """Newton fit of ``loss(z, a)`` plus ``lam * ||g||_1``, started at the
-    intercept-only logit of the treated fraction.
-
-    :func:`_working_set` drives it: each pass runs :func:`_newton` on ``loss``
-    over the working set's columns, and the closure's ``.residual`` gives the
-    full design's gradient as one product with ``z'``, without copying rows
-    of ``z``. ``kkt_residual`` is the full design's, and ``n_iter`` counts
-    the iterations of every pass, on one ``DEFAULT_NEWTON_ITER`` budget. An
-    iterate norm above ``NORM_GUARD`` raises :class:`UnboundedObjective`
-    (e.g. separable treatment at ``lam == 0``).
+    """:func:`_fit` of ``loss(z, a)`` plus ``lam * ||g||_1``, started at the
+    intercept-only logit of the treated fraction. An iterate norm above
+    ``NORM_GUARD`` raises :class:`UnboundedObjective` (e.g. separable
+    treatment at ``lam == 0``).
     """
     if not lam >= 0:
         raise ValueError("lambda must be nonnegative")
     _require_both_arms(data)  # also rejects fewer than two units
-    z, scales = data.standardized()
-    a, n = data.a, data.n
     x0 = np.zeros(data.p + 1)
-    abar = a.mean()
+    abar = data.a.mean()
     x0[0] = math.log(abar / (1.0 - abar))
     diverged = UnboundedObjective(
         "iterate norm exceeded the divergence guard: no minimum (e.g. separable treatment at lambda = 0)"
     )
-
-    def solve(idx, x_idx, tol, budget):
-        zw = z[:, idx]
-        value_grad = loss(zw, a)
-        x_idx, kkt, done = _newton(value_grad, x_idx, diverged, lam=lam, tol=tol, max_iter=budget)
-        return x_idx, kkt, done, z.T @ value_grad.residual(zw @ x_idx) / n
-
-    coef, kkt, n_iter = _working_set(solve, x0, lam, DEFAULT_TOL, DEFAULT_NEWTON_ITER)
-    gamma = _back_transform(coef, scales)
-    return Coefficients(gamma, lam, kkt, n_iter)
+    return _fit(lambda z: loss(z, data.a), data, x0, lam, diverged=diverged)
 
 
 def fit_calibration_lasso(data: Dataset, lambda_gamma: float) -> Coefficients:
@@ -531,8 +543,9 @@ def _weighted_lasso(data: Dataset, weights: np.ndarray, lam: float) -> Coefficie
     minimum-norm solution of :func:`_least_squares`, the solve :func:`fit_ols`
     also uses; its normal-equation residual, on the 1/n mean scale, must be
     within ``DEFAULT_TOL`` relative to ``max|z'Wy| / n``. Otherwise
-    :func:`_newton` runs under :func:`_working_set` on the working set's Gram
-    matrix only, so a pass costs O(n p) plus the working set's, never O(n p^2).
+    :func:`_fit` minimises :func:`_squared_value_grad` on each working set's
+    Gram matrix only, so a pass costs O(n p) plus the working set's, never
+    O(n p^2).
     """
     n = data.n
     z, scales = data.standardized()
@@ -546,30 +559,14 @@ def _weighted_lasso(data: Dataset, weights: np.ndarray, lam: float) -> Coefficie
             raise NonConvergence(
                 f"normal equations could not be solved to tolerance (residual {kkt:.3e})"
             )
-        beta = _back_transform(coef, scales)
-        return Coefficients(beta, 0.0, kkt, 1)
+        return Coefficients(_back_transform(coef, scales), 0.0, kkt, 1)
     x0 = np.zeros(data.p + 1)
     weight_mean = float(weights.sum()) / n
     if weight_mean > 0.0:
         x0[0] = lin[0] / weight_mean
-
-    def solve(idx, x_idx, tol, budget):
-        zw = z[:, idx]
-        gram, lin_w = (zw * weights[:, None]).T @ zw / n, lin[idx]
-
-        def value_grad(b):
-            gb = gram @ b
-            return 0.5 * float(b @ gb) - float(lin_w @ b), gb - lin_w
-
-        value_grad.hess = lambda b: gram
-        x_idx, kkt, done = _newton(value_grad, x_idx, lam=lam, tol=tol, max_iter=budget)
-        return x_idx, kkt, done, z.T @ (weights * (zw @ x_idx)) / n - lin
-
     # Below 64 ulps of max|lin| the residual is float noise in the units of y.
     floor = max(DEFAULT_TOL, 64.0 * np.finfo(float).eps * float(np.max(np.abs(lin))))
-    coef, kkt, n_iter = _working_set(solve, x0, lam, floor, DEFAULT_NEWTON_ITER)
-    beta = _back_transform(coef, scales)
-    return Coefficients(beta, lam, kkt, n_iter)
+    return _fit(lambda z_w: _squared_value_grad(z_w, weights, data.y), data, x0, lam, floor=floor)
 
 
 def fit_weighted_outcome_lasso(
@@ -627,45 +624,41 @@ def fit_logistic_mle(data: Dataset) -> Coefficients:
     _require_both_arms(data)
     if data.n <= data.p + 1:
         raise RankDeficient("logistic MLE requires n > p + 1")
-    z, scales = data.standardized()
-    loss = _logistic_value_grad(z, data.a)
     # Logistic coefficients of norm ~100 on the standardized scale put every
     # fitted probability at 0/1 within float resolution: separation, even if
     # the score tolerance is met by underflow.
+    separated = Separation("coefficient norm diverged; data appear perfectly separated")
     try:
-        coef, res, n_iter = _newton(
-            loss,
-            np.zeros(data.p + 1),
-            Separation("coefficient norm diverged; data appear perfectly separated"),
-            norm_guard=100.0,
+        return _fit(
+            lambda z: _logistic_value_grad(z, data.a), data, np.zeros(data.p + 1), 0.0,
+            diverged=separated, norm_guard=100.0,
         )
     except Separation:
         # A collinear design diverges along its null space too; name that cause.
-        if np.linalg.matrix_rank(z) <= data.p:
+        if np.linalg.matrix_rank(data.standardized()[0]) <= data.p:
             raise RankDeficient("design is rank deficient; the logistic MLE is not identified") from None
         raise
-    gamma = _back_transform(coef, scales)
-    return Coefficients(gamma, 0.0, res, n_iter)
 
 
 def fit_ols(data: Dataset) -> Coefficients:
     """Ordinary least squares on the treated subsample.
 
     The design must have full column rank on the treated units. The fit is
-    :func:`_least_squares` with unit treated weights, the solve the
-    ``lam == 0`` outcome fits share; ``kkt_residual`` is its residual
-    orthogonality ``max|(1/n) sum_i A_i r_i z_i|``, on the 1/n mean scale of
-    every fitter.
+    :func:`_least_squares` on the standardized design with unit treated
+    weights, the solve the ``lam == 0`` outcome fits share; ``kkt_residual``
+    is its residual orthogonality ``max|(1/n) sum_i A_i r_i z_i|`` on that
+    design, on the 1/n mean scale of every fitter.
     """
     m = data.n_treated
     if m == 0:
         raise DegenerateData("no treated units; OLS cannot be fit")
     if m <= data.p:
         raise RankDeficient(f"subsample size {m} cannot support {data.p + 1} coefficients")
-    coef, rank, kkt = _least_squares(data.design(), data.a, data.y)
+    z, scales = data.standardized()
+    coef, rank, kkt = _least_squares(z, data.a, data.y)
     if rank < data.p + 1:
         raise RankDeficient("design matrix is rank deficient on the fitting subsample")
-    return Coefficients(coef, 0.0, kkt, 1)
+    return Coefficients(_back_transform(coef, scales), 0.0, kkt, 1)
 
 
 def post_lasso_refit(data: Dataset, active_union: Iterable[int], which: str) -> Coefficients:
@@ -704,25 +697,21 @@ def fit_br_refit(data: Dataset, selected: Iterable[int], lambda_ridge: float) ->
     if not 0 < lambda_ridge < math.inf:
         raise ValueError("lambda_ridge must be positive")
     selected, sub = data.restrict(selected, "selected")
-    _require_both_arms(data)
-
-    z, scales = sub.standardized()
     ridge = np.zeros(sub.p + 1)
     ridge[1:] = 2.0 * lambda_ridge
-    loss = _calibration_value_grad(z, sub.a)
 
-    def value_grad(coef: np.ndarray):
-        val, grad = loss(coef)
-        val += 0.5 * float(ridge @ coef**2)
-        return val, None if grad is None else grad + ridge * coef
+    def ridged(z: np.ndarray, a: np.ndarray) -> Callable:
+        loss = _calibration_value_grad(z, a)
 
-    value_grad.hess = lambda coef: loss.hess(coef) + np.diag(ridge)
-    x0 = np.zeros(sub.p + 1)
-    abar = sub.a.mean()
-    x0[0] = math.log(abar / (1.0 - abar))
-    diverged = UnboundedObjective("ridge-stabilised propensity solve diverged")
-    coef, res, n_iter = _newton(value_grad, x0, diverged)
-    gamma_sub = Coefficients(_back_transform(coef, scales), lambda_ridge, res, n_iter)
+        def value_grad(coef: np.ndarray):
+            val, grad = loss(coef)
+            val += 0.5 * float(ridge @ coef**2)
+            return val, None if grad is None else grad + ridge * coef
+
+        value_grad.hess = lambda coef: loss.hess(coef) + np.diag(ridge)
+        return value_grad
+
+    gamma_sub = replace(_fit_propensity_lasso(ridged, sub, 0.0), lam=lambda_ridge)
     beta_sub = fit_weighted_outcome_lasso(sub, gamma_sub, 0.0)
     index = [0] + selected
     return NuisanceFit(_embed(gamma_sub, index, data.p + 1), _embed(beta_sub, index, data.p + 1))

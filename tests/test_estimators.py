@@ -29,6 +29,7 @@ from pbrdr import (
     pop_iptw_estimate,
 )
 from pbrdr import estimators, solvers
+from pbrdr.simulation import ScenarioSpec, build_model, draw_dataset
 from pbrdr.solvers import Coefficients, fit_ols
 
 
@@ -393,6 +394,24 @@ def test_fortran_ordered_read_only_covariates_give_the_same_bits(tag):
     fortran = Dataset(d.y, d.a, xf)
     assert fortran.x.flags.c_contiguous
     assert estimate_one(fortran, tag).mu_hat == estimate_one(d, tag).mu_hat
+
+
+@pytest.mark.parametrize("units", [1e-300, 1e-200, 1e-12, 1e14, 1e200, 1e300])
+@pytest.mark.parametrize("scenario, correlated", [("S1", False), ("S2", True)], ids=["S1", "S2-AR1"])
+def test_covariate_units_change_no_estimate(scenario, correlated, units):
+    # every fitter solves on unit-SD covariates and maps its coefficients back,
+    # so x in other units moves no estimate beyond rounding: at 1e-200 the
+    # squared deviations behind the SDs underflow and at 1e200 they overflow,
+    # and at 1e14 a raw least-squares design loses its intercept's rank
+    spec = ScenarioSpec(scenario, 200, 40, correlated, True, True, reps=1, seed=0)
+    data = draw_dataset(build_model(spec), 200, 40, correlated, np.random.default_rng(0))
+    scaled = estimate_suite(Dataset(data.y, data.a, data.x * units))
+    for tag, entry in estimate_suite(data).items():
+        if entry.result is None:
+            assert type(scaled[tag].exception) is type(entry.exception), tag
+        else:
+            assert scaled[tag].ok, (tag, scaled[tag].error)
+            assert scaled[tag].result.mu_hat == pytest.approx(entry.result.mu_hat, rel=1e-12, abs=0.0), tag
 
 
 # ---------------------------------------------------------------------------

@@ -889,8 +889,11 @@ def test_ols_matches_normal_equations(dataset):
     z = dataset.design()[sel]
     oracle = np.linalg.solve(z.T @ z, z.T @ dataset.y[sel])
     assert np.allclose(fit.coef, oracle, atol=1e-9)
-    # residual orthogonality on the 1/n mean scale of every fitter
-    resid = float(np.max(np.abs(z.T @ (dataset.y[sel] - z @ fit.coef)))) / dataset.n
+    # residual orthogonality on the standardized design, the scale of the
+    # problem solved, and on the 1/n mean scale of every fitter
+    z_std, scales = dataset.standardized()
+    z_std, coef_std = z_std[sel], fit.coef * np.concatenate([[1.0], scales])
+    resid = float(np.max(np.abs(z_std.T @ (dataset.y[sel] - z_std @ coef_std)))) / dataset.n
     assert fit.kkt_residual == pytest.approx(resid, rel=1e-3, abs=0.0)
 
 
