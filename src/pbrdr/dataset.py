@@ -126,15 +126,18 @@ class Dataset:
         (``name`` labels the range error) and the dataset of their covariates.
         It shares ``y`` and ``a``; its design, standardized design and scales
         are this dataset's cut to those columns, so a refit solves on the
-        scale of the lasso that selected them."""
+        scale of the lasso that selected them. Its arrays are this dataset's,
+        already checked, so it is built without the constructor's checks."""
         selected = sorted(set(int(j) for j in positions))
         if any(j < 1 or j > self.p for j in selected):
             raise ValueError(f"{name} entries must lie in 1..{self.p}")
         covariates = [j - 1 for j in selected]
         z, scales = self.standardized()
-        sub = Dataset(self.y, self.a, _columns(self.x, covariates))
-        sub._cache["design"] = _columns(self.design(), [0] + selected)
-        sub._cache["standardized"] = (_columns(z, [0] + selected), _columns(scales, covariates))
+        sub = object.__new__(Dataset)
+        sub.__dict__.update(y=self.y, a=self.a, x=_columns(self.x, covariates), _cache={
+            "design": _columns(self.design(), [0] + selected),
+            "standardized": (_columns(z, [0] + selected), _columns(scales, covariates)),
+        })
         return selected, sub
 
     def swap_treatment(self) -> "Dataset":

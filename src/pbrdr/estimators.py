@@ -116,7 +116,7 @@ def _interval(mu: float, influence: np.ndarray) -> Tuple[float, float, Tuple[flo
 def _result_from_influence(
     influence: np.ndarray, se_is_naive: bool = False, fit: Optional[NuisanceFit] = None
 ) -> EstimateResult:
-    mu = float(np.mean(influence))
+    mu = float(influence.sum()) / influence.shape[0]
     return EstimateResult(mu, influence, *_interval(mu, influence), se_is_naive, fit)
 
 
@@ -195,8 +195,9 @@ def pop_iptw_estimate(data: Dataset, gamma: Coefficients) -> EstimateResult:
 
 
 class _NuisanceFits:
-    """The nuisance fits one suite call shares, each built on first use from
-    :data:`_NUISANCE_FITS`.
+    """The nuisance fits one suite call shares, each built on first use: one
+    named in :data:`_NUISANCE_FITS`, or the :func:`post_lasso_refit` keyed
+    ``(which, columns)``, which two selections of one column set share.
 
     Failures are cached alongside successes so that every estimator
     depending on a failed fit reports the same underlying error without
@@ -206,12 +207,15 @@ class _NuisanceFits:
     def __init__(self, data: Dataset) -> None:
         self.data = data
         self.lam_gamma, self.lam_beta = default_penalties(data.n, max(data.p, 1))
-        self._cache: Dict[str, object] = {}
+        self._cache: Dict[object, object] = {}
 
-    def __call__(self, key: str):
+    def __call__(self, key: "str | Tuple[str, Tuple[int, ...]]"):
         if key not in self._cache:
             try:
-                self._cache[key] = _NUISANCE_FITS[key](self)
+                if isinstance(key, str):
+                    self._cache[key] = _NUISANCE_FITS[key](self)
+                else:
+                    self._cache[key] = post_lasso_refit(self.data, key[1], key[0])
             except PbrdrError as exc:
                 self._cache[key] = exc
         value = self._cache[key]
@@ -219,9 +223,9 @@ class _NuisanceFits:
             raise value
         return value
 
-    def union(self, g: str, b: str) -> list:
-        """The union of the active sets of two fits."""
-        return sorted(set(self(g).active_set) | set(self(b).active_set))
+    def union(self, g: str, b: str) -> tuple:
+        """The sorted union of the active sets of two fits."""
+        return tuple(sorted(set(self(g).active_set) | set(self(b).active_set)))
 
 
 # Each shared nuisance fit by name, built from the lookup ``f`` (its dataset,
@@ -235,10 +239,10 @@ _NUISANCE_FITS = {
     "b_lasso": lambda f: fit_linear_lasso(f.data, f.lam_beta * f.data.n_treated / f.data.n),
     "g_pbr": lambda f: fit_calibration_lasso(f.data, f.lam_gamma),
     "b_pbr": lambda f: fit_weighted_outcome_lasso(f.data, f("g_pbr"), f.lam_beta),
-    "g_post": lambda f: post_lasso_refit(f.data, f("g_lasso").active_set, "propensity"),
-    "b_post": lambda f: post_lasso_refit(f.data, f("b_lasso").active_set, "outcome"),
-    "g_ds": lambda f: post_lasso_refit(f.data, f.union("g_lasso", "b_lasso"), "propensity"),
-    "b_ds": lambda f: post_lasso_refit(f.data, f.union("g_lasso", "b_lasso"), "outcome"),
+    "g_post": lambda f: f(("propensity", f("g_lasso").active_set)),
+    "b_post": lambda f: f(("outcome", f("b_lasso").active_set)),
+    "g_ds": lambda f: f(("propensity", f.union("g_lasso", "b_lasso"))),
+    "b_ds": lambda f: f(("outcome", f.union("g_lasso", "b_lasso"))),
 }
 
 

@@ -41,6 +41,9 @@ Conventions shared by every fitter:
   shared by all its passes, and its ``n_iter`` is their total; a spent
   budget raises :class:`NonConvergence`, never a partial result;
 * all score/KKT residuals are on the mean scale, i.e. ``(1/n) sum_i ...``;
+* a loss closure keeps the per-unit weights of the point it evaluated last,
+  and its ``.hess`` builds the Hessian from them when called on that same
+  array object (Newton's accepted iterate), so each iterate is evaluated once;
 * solvers are pure functions of their inputs: no internal randomness.
 """
 
@@ -91,7 +94,7 @@ class Coefficients:
 
     @property
     def active_set(self) -> tuple[int, ...]:
-        return tuple(int(j) + 1 for j in np.flatnonzero(self.coef[1:]))
+        return tuple(int(j) + 1 for j in self.coef[1:].nonzero()[0])
 
 
 @dataclass
@@ -202,7 +205,7 @@ def _least_squares(z: np.ndarray, w: np.ndarray, y: np.ndarray) -> tuple[np.ndar
     z_w, y_w = z[rows], y[rows]
     coef, _, rank, _ = np.linalg.lstsq(z_w * root[:, None], y_w * root, rcond=None)
     resid = z_w.T @ (w[rows] * (y_w - z_w @ coef))
-    return coef, int(rank), float(np.max(np.abs(resid))) / z.shape[0]
+    return coef, int(rank), float(np.abs(resid).max()) / z.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -217,12 +220,15 @@ def _newton(
     ``lam * ||x[1:]||_1``. ``value_grad(x)`` returns the smooth part's value
     and gradient on the mean scale (gradient None where the value is not
     finite); the closure carries its Hessian as ``value_grad.hess(x)``,
-    evaluated at accepted iterates only. Stops at the KKT residual ``tol``
+    evaluated at accepted iterates only. An accepted iterate is the array
+    ``value_grad`` saw last, never changed in place, so the Hessian is built
+    from the weights that evaluation kept. Stops at the KKT residual ``tol``
     (``DEFAULT_TOL``) within ``max_iter`` iterations (``DEFAULT_NEWTON_ITER``);
     with a ``divergence_error``, an iterate norm above ``norm_guard`` raises
     it. Returns (x, residual, iterations).
 
-    At ``lam == 0`` each step is the plain Newton step on every coordinate.
+    At ``lam == 0`` the subgradient is the gradient, and each step is the
+    plain Newton step, one solve on the full Hessian.
     At ``lam > 0`` it is the orthant-wise step of Andrew & Gao (2007), exact
     for a quadratic on a fixed sign pattern: the system holds the intercept
     and each nonzero or KKT-violating coordinate, its diagonal raised by 1e-6
@@ -246,8 +252,8 @@ def _newton(
         raise ValueError("objective is not finite at the starting point")
     big_f = f + _l1(x, lam)
     for it in range(max_iter + 1):
-        sub = _min_norm_subgradient(g, x, lam)
-        res = float(np.max(np.abs(sub)))
+        sub = _min_norm_subgradient(g, x, lam) if lam else g
+        res = float(np.abs(sub).max())
         if res <= tol:
             return x, res, it
         if it == max_iter:
@@ -256,22 +262,23 @@ def _newton(
             )
         h, free = hess(x), slice(None)
         if lam:
-            free = np.flatnonzero((x != 0.0) | (sub != 0.0) | (np.arange(x.size) == 0))
+            free = ((x != 0.0) | (sub != 0.0) | (np.arange(x.size) == 0)).nonzero()[0]
             h = h[np.ix_(free, free)]
-            h[np.diag_indices(free.size)] += 1e-6 * float(np.mean(np.diag(h)))
-        direction = np.zeros_like(x)
+            h[np.diag_indices(free.size)] += 1e-6 * float(np.diag(h).sum()) / free.size
         try:
-            direction[free] = np.linalg.solve(h, -sub[free])
+            moved = np.linalg.solve(h, -sub[free])
         except np.linalg.LinAlgError as exc:
             raise RankDeficient("singular Hessian in Newton solve") from exc
-        first = math.inf
+        direction, first = moved, math.inf
         if lam:
+            direction = np.zeros_like(x)
+            direction[free] = moved
             direction[1:][(x[1:] == 0.0) & (direction[1:] * sub[1:] > 0.0)] = 0.0
             # Below ``first`` the move is along the descent direction itself;
             # halving past it instead, a coordinate pushed across zero only
             # approaches zero, by ever shorter steps, and the search stalls.
-            cross = np.flatnonzero(x[1:] * direction[1:] < 0.0) + 1
-            first = float(np.min(-x[cross] / direction[cross], initial=math.inf))
+            cross = (x[1:] * direction[1:] < 0.0).nonzero()[0] + 1
+            first = float((-x[cross] / direction[cross]).min(initial=math.inf))
         slack = 16.0 * np.finfo(float).eps * (1.0 + abs(big_f))
         step = 1.0
         while True:
@@ -326,7 +333,7 @@ def _fit(loss, data, x0, lam, diverged=None, norm_guard=NORM_GUARD, floor=None):
     tol = floor = DEFAULT_TOL if floor is None else floor
     used, budget = 0, DEFAULT_NEWTON_ITER
     while True:
-        idx = np.flatnonzero(working)
+        idx = working.nonzero()[0]
         full = idx.size == x.size
         # ``z[:, idx]`` is a Fortran-ordered copy, on which BLAS rounds differently.
         z_w = z if full else z[:, idx]
@@ -391,12 +398,15 @@ def _calibration_value_grad(z: np.ndarray, a: np.ndarray) -> Callable:
         r[treated] = -np.exp(-u[treated])
         return r
 
+    last = [None, None]  # the point evaluated last and its weights exp(-u_t)
+
     def value_grad(coef: np.ndarray):
         u = z @ coef
         # Far along a direction with no minimum the weights, or only their
         # products with z_t, overflow; the line search rejects such a point.
         with np.errstate(over="ignore"):
             e_t = np.exp(-u[treated])
+            last[:] = coef, e_t
             val = (float(e_t.sum()) + float(u[~treated].sum())) / n
             if not np.isfinite(val):
                 return val, None
@@ -404,7 +414,7 @@ def _calibration_value_grad(z: np.ndarray, a: np.ndarray) -> Callable:
         return val, grad
 
     def hess(coef: np.ndarray) -> np.ndarray:
-        e_t = np.exp(-(z @ coef)[treated])
+        e_t = last[1] if last[0] is coef else np.exp(-(z @ coef)[treated])
         return (z_t * e_t[:, None]).T @ z_t / n
 
     def certify(d: np.ndarray, lam: float) -> None:
@@ -440,16 +450,19 @@ def _logistic_value_grad(z: np.ndarray, a: np.ndarray) -> Callable:
     def residual(u: np.ndarray) -> np.ndarray:
         return expit(u) - a
 
+    last = [None, None]  # the point evaluated last and its propensities
+
     def value_grad(coef: np.ndarray):
         u = z @ coef
-        val = float(np.mean(np.logaddexp(0.0, u) - a * u))
+        val = float((np.logaddexp(0.0, u) - a * u).sum()) / n
         if not np.isfinite(val):
             return val, None
-        grad = z.T @ residual(u) / n
-        return val, grad
+        pi = expit(u)
+        last[:] = coef, pi
+        return val, z.T @ (pi - a) / n
 
     def hess(coef: np.ndarray) -> np.ndarray:
-        pi = expit(z @ coef)
+        pi = last[1] if last[0] is coef else expit(z @ coef)
         return (z * (pi * (1.0 - pi))[:, None]).T @ z / n
 
     value_grad.hess = hess

@@ -19,6 +19,7 @@ from pbrdr import (
     DegenerateData,
     NuisanceFit,
     PositivityViolation,
+    RankDeficient,
     ate_estimate,
     dr_estimate,
     estimate_one,
@@ -379,6 +380,39 @@ def test_suite_looks_its_fitters_up_at_call_time(monkeypatch):
     suite = estimate_suite(random_dataset(4, n=200, p=10), ["P-BR", "DS-P-BR"])
     assert suite["P-BR"].ok and suite["DS-P-BR"].ok
     assert len(calls) == 1
+
+
+def test_suite_refits_each_column_set_once(monkeypatch):
+    # on this grid draw the propensity lasso selects no column the outcome
+    # lasso misses, so DS-LASSO's outcome refit is Post-LASSO's: OLS runs for
+    # OR-OLS and for that one refit (three times if each tag refit its own)
+    spec = ScenarioSpec("S1", 200, 40, False, True, True, reps=1, seed=0)
+    data = draw_dataset(build_model(spec), 200, 40, False, np.random.default_rng(0))
+    fits = estimators._NuisanceFits(data)
+    assert fits.union("g_lasso", "b_lasso") == fits("b_lasso").active_set
+    calls = []
+
+    def counting(d):
+        calls.append(d.p)
+        return fit_ols(d)
+
+    monkeypatch.setattr(estimators, "fit_ols", counting)
+    monkeypatch.setattr(solvers, "fit_ols", counting)
+    suite = estimate_suite(data)
+    assert sorted(calls) == [len(fits("b_lasso").active_set), 40]
+    assert suite["DS-LASSO"].result.fit.beta is suite["Post-LASSO"].result.fit.beta
+
+    # a failing shared refit fails both tags with the one error, fit once
+    def failing(d):
+        calls.append(d.p)
+        raise RankDeficient("refit failed")
+
+    calls.clear()
+    monkeypatch.setattr(solvers, "fit_ols", failing)
+    suite = estimate_suite(data, ["DS-LASSO", "Post-LASSO"])
+    assert len(calls) == 1
+    assert suite["DS-LASSO"].exception is suite["Post-LASSO"].exception
+    assert suite["DS-LASSO"].error == "RankDeficient"
 
 
 def test_all_tags_sorted_and_complete():

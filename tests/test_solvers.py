@@ -693,6 +693,27 @@ def test_calibration_minimum_is_its_dual_value_above_the_lower_bound(seed):
     assert primal > n_c * (1.0 - math.log(n_c)) / data.n
 
 
+@pytest.mark.parametrize("columns", [[], [4], [1, 3], [5, 2, 4], [1, 2, 3, 4, 5]])
+def test_restrict_builds_the_dataset_the_constructor_would(columns):
+    # ``restrict`` skips the constructor's checks on arrays already checked;
+    # what it builds is what the constructor makes of the same columns, with
+    # this dataset's design and standardized design cut to them
+    data = random_dataset(31, n=40, p=5)
+    selected, sub = data.restrict(columns, "selected")
+    index = [0] + selected
+    checked = Dataset(data.y, data.a, data.x[:, [j - 1 for j in selected]])
+    pairs = [(sub.y, checked.y), (sub.a, checked.a), (sub.x, checked.x), (sub.design(), checked.design())]
+    for mine, theirs in pairs:
+        assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes()
+        assert mine.flags.c_contiguous and not mine.flags.writeable
+    z, scales = data.standardized()
+    z_sub, scales_sub = sub.standardized()
+    assert z_sub.tobytes() == z.take(index, axis=1).tobytes()
+    assert scales_sub.tobytes() == scales.take([j - 1 for j in selected]).tobytes()
+    assert sub.design() is sub.design() and sub.standardized() is sub.standardized()
+    assert (sub.n, sub.p, sub.n_treated) == (checked.n, checked.p, checked.n_treated)
+
+
 def test_dataset_is_read_only_and_builds_its_design_once():
     x = np.random.default_rng(12).standard_normal((30, 3))
     a = np.tile([0.0, 1.0], 15)
@@ -1115,6 +1136,46 @@ def test_hessians_match_finite_differences(objective):
         assert np.allclose(h_analytic, h_analytic.T)
         denom = max(1.0, float(np.max(np.abs(h_analytic))))
         assert np.max(np.abs(h_analytic - h_fd)) / denom <= 1e-5
+
+
+@pytest.mark.parametrize("closure", ["logistic", "calibration", "ridged"])
+def test_hessian_reuses_only_its_own_points_weights(closure, monkeypatch):
+    # a closure keeps the weights of the point it evaluated last, and its
+    # Hessian reuses them for that very object only: an earlier point, or an
+    # equal copy of the last one, has its weights recomputed
+    data = random_dataset(99, n=90, p=4)
+    z = data.standardized()[0]
+    treated = data.a == 1.0
+    ridge = np.zeros(5)
+    if closure == "ridged":
+        ridge[1:] = 2.0 * 0.1
+        losses = []
+        fit = solvers._fit
+        monkeypatch.setattr(solvers, "_fit", lambda loss, *args, **kw: losses.append(loss) or fit(loss, *args, **kw))
+        fit_br_refit(data, range(1, 5), 0.1)
+        make = losses[0]
+    else:
+        loss = solvers._logistic_value_grad if closure == "logistic" else solvers._calibration_value_grad
+        make = lambda z: loss(z, data.a)
+    x_a, x_b = 0.5 * np.random.default_rng(19).standard_normal((2, 5))
+    vg = make(z)
+    vg(x_a)
+    vg(x_b)
+    assert vg.hess(x_a).tobytes() == make(z).hess(x_a).tobytes()
+    u = z @ x_b
+    if closure == "logistic":
+        pi = solvers.expit(u)
+        closed = (z * (pi * (1.0 - pi))[:, None]).T @ z / data.n
+    else:
+        z_t = z[treated]
+        closed = (z_t * np.exp(-u[treated])[:, None]).T @ z_t / data.n + np.diag(ridge)
+    exps = []
+    exp = np.exp
+    monkeypatch.setattr(np, "exp", lambda *args, **kw: exps.append(1) or exp(*args, **kw))
+    assert vg.hess(x_b).tobytes() == closed.tobytes()
+    assert not exps
+    assert vg.hess(x_b.copy()).tobytes() == closed.tobytes()
+    assert len(exps) == 1
 
 
 # ---------------------------------------------------------------------------
