@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import re
@@ -37,11 +38,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .bias_surface import SurfaceDgp, evaluate_surface, export_surface
 from .dataset import Dataset
 from .errors import ConfigError, PbrdrError
 from .estimators import DEFAULT_ROSTER, ate_estimate, estimate_one
-from .simulation import parse_config_text, run_monte_carlo
 
 _NA_TOKENS = {"", "na", "nan", "null"}
 _TREATMENT_CODES = {"0": 0.0, "1": 1.0}
@@ -143,17 +142,20 @@ def _load_clean_csv(path: Path, schema: CsvSchema) -> Optional[Tuple[Dataset, Li
         raw = path.read_bytes()
     except OSError:
         return None
-    ends = np.flatnonzero(np.frombuffer(raw, dtype=np.uint8) == ord("\n"))
-    n_lines = ends.size + (not raw.endswith(b"\n")) - 1  # after the header
-    head = raw[: ends[0]] if ends.size else raw
+    # Counts and searches on the bytes themselves, and one line at a time for
+    # the longest line, so the check holds no copy of the file beside ``raw``.
+    n_lines = raw.count(b"\n") + (not raw.endswith(b"\n")) - 1  # after the header
+    head = raw[: raw.find(b"\n")] if b"\n" in raw else raw
+    last = len(raw) - raw.rfind(b"\n") - 1  # the line after the last "\n"
     if (
         n_lines < 10
         or b'"' in head
         or b"\0" in raw
         or (b"\r" in raw and raw.count(b"\r") != raw.count(b"\r\n"))
-        or np.diff(ends, prepend=-1, append=len(raw)).max() - 1 > csv.field_size_limit()
+        or max(max(map(len, io.BytesIO(raw)), default=0) - 1, last) > csv.field_size_limit()
     ):
         return None
+    del raw  # ``loadtxt`` reads the file again: its bytes need not stay in memory
     try:
         header = [h.strip() for h in head.decode("utf-8-sig").removesuffix("\r").split(",")]
         idx, cov_cols = _check_header(path, header, schema)
@@ -410,6 +412,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .simulation import parse_config_text, run_monte_carlo  # loaded by this command only
+
     try:
         with open(args.config, "r", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
             text = fh.read()
@@ -463,6 +467,8 @@ def _parse_range(text: str, name: str) -> np.ndarray:
 
 
 def cmd_bias_surface(args) -> int:
+    from .bias_surface import SurfaceDgp, evaluate_surface, export_surface  # loaded by this command only
+
     gamma_grid = _parse_range(args.gamma_range, "--gamma-range")
     beta_grid = _parse_range(args.beta_range, "--beta-range")
     dgp = SurfaceDgp(args.variant, args.n_large, args.seed)

@@ -39,6 +39,10 @@ class PositivityViolation(PbrdrError):
     """A required propensity value fell below the positivity guard threshold."""
 
 
+class NumericalRange(PbrdrError):
+    """A result left the float64 range where no power-of-two rescaling keeps it in."""
+
+
 class ConfigError(PbrdrError):
     """Invalid configuration value (unknown estimator tag, bad key, unparseable value)."""
 

@@ -21,7 +21,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .dataset import Dataset
-from .errors import ConfigError, DegenerateData, PbrdrError, PositivityViolation
+from .errors import ConfigError, DegenerateData, NumericalRange, PbrdrError, PositivityViolation
 from .solvers import (
     Coefficients,
     NuisanceFit,
@@ -35,6 +35,7 @@ from .solvers import (
     fit_ols,
     fit_weighted_outcome_lasso,
     post_lasso_refit,
+    _scale_exponent,
 )
 
 # Fitted propensities below this value on units that need weighting raise
@@ -106,10 +107,15 @@ class SuiteEntry:
 def _interval(mu: float, influence: np.ndarray) -> Tuple[float, float, Tuple[float, float]]:
     """The sample SD ``sigma`` of per-unit influence values (ddof=1; 0 for one
     unit), the SE ``sigma / sqrt(n)`` of the estimate ``mu`` they linearize,
-    and its 95% interval ``mu +/- 1.96 * se``."""
+    and its 95% interval ``mu +/- 1.96 * se``. The SD is taken on values
+    scaled as by :func:`solvers._scale_exponent`, so its squares stay in the
+    float range; a result still not finite raises :class:`NumericalRange`."""
     n = influence.shape[0]
-    sigma = float(np.std(influence, ddof=1)) if n > 1 else 0.0
+    k = _scale_exponent(influence)
+    sigma = math.ldexp(float(np.std(np.ldexp(influence, -k), ddof=1)), k) if n > 1 else 0.0
     se = sigma / math.sqrt(n)
+    if not (math.isfinite(mu) and math.isfinite(se)):
+        raise NumericalRange(f"the estimate ({mu:.6g}) or its standard error ({se:.6g}) is not finite")
     return sigma, se, (mu - CI_MULTIPLIER * se, mu + CI_MULTIPLIER * se)
 
 

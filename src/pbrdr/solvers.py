@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from statistics import NormalDist
 from typing import Callable, Iterable
 
 import numpy as np
@@ -61,6 +60,7 @@ from .errors import (
     DegenerateData,
     DegenerateWeights,
     NonConvergence,
+    NumericalRange,
     RankDeficient,
     Separation,
     UnboundedObjective,
@@ -118,8 +118,12 @@ def default_penalties(n: int, p: int) -> tuple[float, float]:
     """Default penalty levels for the two nuisance fits at sample size ``n``, dimension ``p``.
 
     ``lam_gamma = 1.1/(2 sqrt(n)) * qnorm(1 - 0.05 / max(n, p log n))`` with the
-    natural logarithm, and ``lam_beta = 2 * lam_gamma`` exactly.
+    natural logarithm, and ``lam_beta = 2 * lam_gamma`` exactly. The normal
+    quantile is ``statistics.NormalDist``'s, imported on the first call, so a
+    process that fits nothing does not load ``statistics``.
     """
+    from statistics import NormalDist
+
     if n < 2:
         raise ValueError("n must be at least 2")
     if p < 1:
@@ -153,6 +157,14 @@ def expit(v, out=None):
         np.exp(out, out=out)
         np.add(out, 1.0, out=out)
         return np.divide(1.0, out, out=out)
+
+
+def _scale_exponent(v: np.ndarray) -> int:
+    """The power ``k`` that brings ``max|v|`` near 1 when it lies outside
+    ``[2^-500, 2^500]``, else 0. Scaling by ``2^-k`` is exact in binary, so a
+    fit on ``v * 2^-k`` mapped back by ``2^k`` is the same problem, squares in range."""
+    big = float(np.max(np.abs(v), initial=0.0))
+    return 0 if big == 0.0 or 2.0**-500 <= big <= 2.0**500 else math.frexp(big)[1]
 
 
 def _iterate_norm(x: np.ndarray) -> float:
@@ -249,7 +261,7 @@ def _newton(
     x_start = x = np.array(x0, dtype=float)
     f, g = value_grad(x)
     if not np.isfinite(f):
-        raise ValueError("objective is not finite at the starting point")
+        raise NumericalRange("objective is not finite at the starting point")
     big_f = f + _l1(x, lam)
     for it in range(max_iter + 1):
         sub = _min_norm_subgradient(g, x, lam) if lam else g
@@ -558,13 +570,17 @@ def _weighted_lasso(data: Dataset, weights: np.ndarray, lam: float) -> Coefficie
     within ``DEFAULT_TOL`` relative to ``max|z'Wy| / n``. Otherwise
     :func:`_fit` minimises :func:`_squared_value_grad` on each working set's
     Gram matrix only, so a pass costs O(n p) plus the working set's, never
-    O(n p^2).
+    O(n p^2). An outcome outside ``[2^-500, 2^500]`` in size is fit as
+    ``y * 2^-k`` at ``lam * 2^-k`` (:func:`_scale_exponent`); the coefficients
+    and the KKT residual are mapped back by ``2^k``.
     """
     n = data.n
     z, scales = data.standardized()
-    lin = z.T @ (weights * data.y) / n
+    k = _scale_exponent(data.y)
+    y = np.ldexp(data.y, -k)
+    lin = z.T @ (weights * y) / n
     if lam == 0.0:
-        coef, _, kkt = _least_squares(z, weights, data.y)
+        coef, _, kkt = _least_squares(z, weights, y)
         coef[np.abs(coef) < ZERO_SNAP] = 0.0
         # Relative to the size of the right-hand side: the attainable residual
         # scales with the units of y.
@@ -572,14 +588,15 @@ def _weighted_lasso(data: Dataset, weights: np.ndarray, lam: float) -> Coefficie
             raise NonConvergence(
                 f"normal equations could not be solved to tolerance (residual {kkt:.3e})"
             )
-        return Coefficients(_back_transform(coef, scales), 0.0, kkt, 1)
+        return Coefficients(np.ldexp(_back_transform(coef, scales), k), 0.0, math.ldexp(kkt, k), 1)
     x0 = np.zeros(data.p + 1)
     weight_mean = float(weights.sum()) / n
     if weight_mean > 0.0:
         x0[0] = lin[0] / weight_mean
     # Below 64 ulps of max|lin| the residual is float noise in the units of y.
     floor = max(DEFAULT_TOL, 64.0 * np.finfo(float).eps * float(np.max(np.abs(lin))))
-    return _fit(lambda z_w: _squared_value_grad(z_w, weights, data.y), data, x0, lam, floor=floor)
+    fit = _fit(lambda z_w: _squared_value_grad(z_w, weights, y), data, x0, math.ldexp(lam, -k), floor=floor)
+    return Coefficients(np.ldexp(fit.coef, k), lam, math.ldexp(fit.kkt_residual, k), fit.n_iter)
 
 
 def fit_weighted_outcome_lasso(
@@ -668,10 +685,11 @@ def fit_ols(data: Dataset) -> Coefficients:
     if m <= data.p:
         raise RankDeficient(f"subsample size {m} cannot support {data.p + 1} coefficients")
     z, scales = data.standardized()
-    coef, rank, kkt = _least_squares(z, data.a, data.y)
+    k = _scale_exponent(data.y)  # as in :func:`_weighted_lasso`
+    coef, rank, kkt = _least_squares(z, data.a, np.ldexp(data.y, -k))
     if rank < data.p + 1:
         raise RankDeficient("design matrix is rank deficient on the fitting subsample")
-    return Coefficients(_back_transform(coef, scales), 0.0, kkt, 1)
+    return Coefficients(np.ldexp(_back_transform(coef, scales), k), 0.0, math.ldexp(kkt, k), 1)
 
 
 def post_lasso_refit(data: Dataset, active_union: Iterable[int], which: str) -> Coefficients:

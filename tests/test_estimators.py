@@ -18,6 +18,7 @@ from pbrdr import (
     Dataset,
     DegenerateData,
     NuisanceFit,
+    NumericalRange,
     PositivityViolation,
     RankDeficient,
     ate_estimate,
@@ -446,6 +447,31 @@ def test_covariate_units_change_no_estimate(scenario, correlated, units):
         else:
             assert scaled[tag].ok, (tag, scaled[tag].error)
             assert scaled[tag].result.mu_hat == pytest.approx(entry.result.mu_hat, rel=1e-12, abs=0.0), tag
+
+
+@pytest.mark.parametrize("scenario, p", [("S1", 15), ("S2", 4)])
+def test_outcome_units_give_a_finite_result_or_a_named_error(scenario, p):
+    # an outcome outside 2^-500..2^500 in size is fit at y 2^-k and mapped
+    # back, and the influence values' SD is taken on the same scale: from
+    # 1e154 up the squares overflowed, and from 1e156 a bare ValueError ended
+    # the suite; OR-OLS and MLE are linear in y, so they scale with it
+    spec = ScenarioSpec(scenario, 60, p, False, True, True, reps=1, seed=0)
+    data = draw_dataset(build_model(spec), 60, p, False, np.random.default_rng([3, 0]))
+    base = estimate_suite(data)
+    for c in [10.0**k for k in (*range(-300, 301, 25), 154, 156)]:
+        for tag, entry in estimate_suite(Dataset(data.y * c, data.a, data.x)).items():
+            if entry.result is None:  # the suite lets no other exception through
+                continue
+            assert math.isfinite(entry.result.mu_hat) and math.isfinite(entry.result.se), (tag, c)
+            if tag in ("OR-OLS", "MLE"):
+                for got, want in ((entry.result.mu_hat, base[tag].result.mu_hat),
+                                  (entry.result.se, base[tag].result.se)):
+                    assert got == pytest.approx(c * want, rel=1e-12, abs=0.0), (tag, c)
+
+
+def test_a_non_finite_result_is_a_named_error():
+    with pytest.raises(NumericalRange, match="not finite"):
+        estimators._interval(math.inf, np.ones(3))
 
 
 # ---------------------------------------------------------------------------
