@@ -5,8 +5,6 @@ misspecification bias-surface study."""
 
 __version__ = "0.1.0"
 
-import importlib
-
 from .dataset import Dataset
 from .errors import (
     ConfigError,
@@ -35,6 +33,19 @@ from .estimators import (
     or_estimate,
     pop_iptw_estimate,
 )
+from .simulation import (
+    MetricsRow,
+    MetricsTable,
+    ScenarioSpec,
+    TrueModel,
+    compute_metrics,
+    draw_dataset,
+    gen_covariates,
+    parse_config_text,
+    run_monte_carlo,
+    scenario1_model,
+    scenario2_model,
+)
 from .solvers import (
     Coefficients,
     NuisanceFit,
@@ -48,33 +59,12 @@ from .solvers import (
     fit_weighted_outcome_lasso,
     post_lasso_refit,
 )
-
-# The Monte Carlo runner and the surface study, with their names, are imported
-# on first use (PEP 562): a process that runs neither, such as ``pbrdr
-# estimate``, never loads them.
-_LAZY = {
-    "simulation": (
-        "MetricsRow", "MetricsTable", "ScenarioSpec", "TrueModel", "compute_metrics",
-        "draw_dataset", "gen_covariates", "parse_config_text", "run_monte_carlo",
-        "scenario1_model", "scenario2_model",
-    ),
-    "bias_surface": (
-        "SurfaceDgp", "SurfaceGrid", "evaluate_surface", "export_surface", "rescale_bias",
-        "surface_dataset", "target_mean",
-    ),
-}
-_HOME = {name: module for module, names in _LAZY.items() for name in (module, *names)}
-__all__ = sorted({n for n in globals() if not n.startswith("_")} - {"importlib"} | set(_HOME))
-
-
-def __getattr__(name: str):
-    if name not in _HOME:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = importlib.import_module(f".{_HOME[name]}", __name__)
-    value = module if name in _LAZY else getattr(module, name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted({*globals(), *_HOME})
+from .bias_surface import (
+    SurfaceDgp,
+    SurfaceGrid,
+    evaluate_surface,
+    export_surface,
+    rescale_bias,
+    surface_dataset,
+    target_mean,
+)

@@ -156,10 +156,7 @@ def evaluate_surface(dgp: SurfaceDgp, gamma_grid, beta_grid) -> SurfaceGrid:
 
     For fixed propensity slope the plug-in mean is affine in the outcome
     slope, so each grid row costs one pass over the treated units, made in
-    one buffer that every row refills: the inverse propensity
-    ``1/expit(g * x) = 1 + exp(-g * x)`` takes one exponential, and the two
-    sums of the row are the treated sums of ``x`` and ``y`` plus their dot
-    products with ``exp(-g * x_t)``. A row whose smallest treated
+    one buffer that every row refills. A row whose smallest treated
     propensity ``expit(g * x)`` falls below ``POSITIVITY_THRESHOLD`` is
     left NaN; since ``expit`` is monotone, that propensity sits at the
     smallest or largest treated ``x``, and the row is judged from those two
@@ -189,20 +186,20 @@ def evaluate_surface(dgp: SurfaceDgp, gamma_grid, beta_grid) -> SurfaceGrid:
             f"unit; the {arm} arm is empty, so the weights and reference fits are undefined"
         )
     x_t, y_t = x[treated], y[treated]
-    x_sum, x_t_sum, y_t_sum = float(x.sum()), float(x_t.sum()), float(y_t.sum())
+    x_sum = float(x.sum())
     x_ends = np.array([x_t.min(), x_t.max()])
 
     raw = np.full((gamma_grid.size, beta_grid.size), np.nan)
-    e = np.empty_like(x_t)  # the one treated-sample buffer, refilled by every row
+    w = np.empty_like(x_t)  # the one treated-sample buffer, refilled by every row
     for i, gs in enumerate(gamma_grid):
         # expit is monotone: the smallest treated propensity is at an end of x_t
         if np.min(expit(gs * x_ends)) < POSITIVITY_THRESHOLD:
             continue  # row marked NaN rather than aborting: weights would explode here
-        # 1/pi_t = 1 + e with e = exp(-g x_t), so mean(U) = bs * t1 + t2 as a
-        # function of the outcome slope bs.
-        np.exp(np.multiply(-gs, x_t, out=e), out=e)
-        t1 = (x_sum - x_t_sum - float(x_t @ e)) / n
-        t2 = (y_t_sum + float(y_t @ e)) / n
+        pi_t = expit(np.multiply(gs, x_t, out=w), out=w)
+        inv_pi_t = np.divide(1.0, pi_t, out=w)
+        # mean(U) = bs * t1 + t2 as a function of the outcome slope bs.
+        t1 = (x_sum - float(x_t @ inv_pi_t)) / n
+        t2 = float(y_t @ inv_pi_t) / n
         raw[i, :] = beta_grid * t1 + t2 - mu0
 
     g_br = _reference_slope(_calibration_value_grad, x, a)

@@ -38,9 +38,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
+from .bias_surface import SurfaceDgp, evaluate_surface, export_surface
 from .dataset import Dataset
 from .errors import ConfigError, PbrdrError
 from .estimators import DEFAULT_ROSTER, ate_estimate, estimate_one
+from .simulation import parse_config_text, run_monte_carlo
 
 _NA_TOKENS = {"", "na", "nan", "null"}
 _TREATMENT_CODES = {"0": 0.0, "1": 1.0}
@@ -412,8 +414,6 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .simulation import parse_config_text, run_monte_carlo  # loaded by this command only
-
     try:
         with open(args.config, "r", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
             text = fh.read()
@@ -467,8 +467,6 @@ def _parse_range(text: str, name: str) -> np.ndarray:
 
 
 def cmd_bias_surface(args) -> int:
-    from .bias_surface import SurfaceDgp, evaluate_surface, export_surface  # loaded by this command only
-
     gamma_grid = _parse_range(args.gamma_range, "--gamma-range")
     beta_grid = _parse_range(args.beta_range, "--beta-range")
     dgp = SurfaceDgp(args.variant, args.n_large, args.seed)

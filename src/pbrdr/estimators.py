@@ -35,6 +35,7 @@ from .solvers import (
     fit_ols,
     fit_weighted_outcome_lasso,
     post_lasso_refit,
+    _ldexp,
     _scale_exponent,
 )
 
@@ -109,10 +110,11 @@ def _interval(mu: float, influence: np.ndarray) -> Tuple[float, float, Tuple[flo
     unit), the SE ``sigma / sqrt(n)`` of the estimate ``mu`` they linearize,
     and its 95% interval ``mu +/- 1.96 * se``. The SD is taken on values
     scaled as by :func:`solvers._scale_exponent`, so its squares stay in the
-    float range; a result still not finite raises :class:`NumericalRange`."""
+    float range; a result still not finite raises :class:`NumericalRange`,
+    as does an SD past the float range."""
     n = influence.shape[0]
     k = _scale_exponent(influence)
-    sigma = math.ldexp(float(np.std(np.ldexp(influence, -k), ddof=1)), k) if n > 1 else 0.0
+    sigma = _ldexp(float(np.std(_ldexp(influence, -k), ddof=1)), k) if n > 1 else 0.0
     se = sigma / math.sqrt(n)
     if not (math.isfinite(mu) and math.isfinite(se)):
         raise NumericalRange(f"the estimate ({mu:.6g}) or its standard error ({se:.6g}) is not finite")

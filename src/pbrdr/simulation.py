@@ -25,7 +25,6 @@ which stabilises sample-size sweeps.
 from __future__ import annotations
 
 import atexit
-import functools
 import itertools
 import math
 import os
@@ -94,23 +93,14 @@ def ar1_covariance(p: int, rho: float = 0.5) -> np.ndarray:
     return rho ** np.abs(idx[:, None] - idx[None, :])
 
 
-@functools.lru_cache(maxsize=8)
-def _ar1_factor(p: int) -> np.ndarray:
-    """The read-only Cholesky factor of :func:`ar1_covariance` at ``p``, built
-    once per dimension: at p = 1000 it takes about ten times as long as the
-    n = 200 draw that uses it."""
-    chol = np.linalg.cholesky(ar1_covariance(p))
-    chol.flags.writeable = False
-    return chol
-
-
 def gen_covariates(n: int, p: int, correlated: bool, rng: np.random.Generator) -> np.ndarray:
     """Mean-zero multivariate normal rows; identity covariance, or AR(1) with
     decay 0.5 generated through its Cholesky factor."""
     z = rng.standard_normal((n, p))
     if not correlated or p < 2:
         return z
-    return z @ _ar1_factor(p).T
+    chol = np.linalg.cholesky(ar1_covariance(p))
+    return z @ chol.T
 
 
 def _s1_coefficients(p: int) -> Tuple[np.ndarray, np.ndarray]:

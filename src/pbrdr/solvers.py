@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from statistics import NormalDist
 from typing import Callable, Iterable
 
 import numpy as np
@@ -118,12 +119,8 @@ def default_penalties(n: int, p: int) -> tuple[float, float]:
     """Default penalty levels for the two nuisance fits at sample size ``n``, dimension ``p``.
 
     ``lam_gamma = 1.1/(2 sqrt(n)) * qnorm(1 - 0.05 / max(n, p log n))`` with the
-    natural logarithm, and ``lam_beta = 2 * lam_gamma`` exactly. The normal
-    quantile is ``statistics.NormalDist``'s, imported on the first call, so a
-    process that fits nothing does not load ``statistics``.
+    natural logarithm, and ``lam_beta = 2 * lam_gamma`` exactly.
     """
-    from statistics import NormalDist
-
     if n < 2:
         raise ValueError("n must be at least 2")
     if p < 1:
@@ -165,6 +162,20 @@ def _scale_exponent(v: np.ndarray) -> int:
     fit on ``v * 2^-k`` mapped back by ``2^k`` is the same problem, squares in range."""
     big = float(np.max(np.abs(v), initial=0.0))
     return 0 if big == 0.0 or 2.0**-500 <= big <= 2.0**500 else math.frexp(big)[1]
+
+
+def _ldexp(v, k: int):
+    """``v * 2^k`` for a float or an array; a result past the float range
+    raises :class:`NumericalRange`, where ``math.ldexp`` would raise a bare
+    ``OverflowError`` and ``np.ldexp`` return inf."""
+    if k == 0:
+        return v
+    with np.errstate(over="raise"):
+        try:
+            out = np.ldexp(v, k)
+        except FloatingPointError:
+            raise NumericalRange(f"a value times 2^{k} leaves the float range") from None
+    return out if isinstance(v, np.ndarray) else float(out)
 
 
 def _iterate_norm(x: np.ndarray) -> float:
@@ -572,12 +583,13 @@ def _weighted_lasso(data: Dataset, weights: np.ndarray, lam: float) -> Coefficie
     Gram matrix only, so a pass costs O(n p) plus the working set's, never
     O(n p^2). An outcome outside ``[2^-500, 2^500]`` in size is fit as
     ``y * 2^-k`` at ``lam * 2^-k`` (:func:`_scale_exponent`); the coefficients
-    and the KKT residual are mapped back by ``2^k``.
+    and the KKT residual are mapped back by ``2^k``; where ``lam * 2^-k`` or a
+    mapped-back value leaves the float range, :class:`NumericalRange` is raised.
     """
     n = data.n
     z, scales = data.standardized()
     k = _scale_exponent(data.y)
-    y = np.ldexp(data.y, -k)
+    y = _ldexp(data.y, -k)
     lin = z.T @ (weights * y) / n
     if lam == 0.0:
         coef, _, kkt = _least_squares(z, weights, y)
@@ -588,15 +600,15 @@ def _weighted_lasso(data: Dataset, weights: np.ndarray, lam: float) -> Coefficie
             raise NonConvergence(
                 f"normal equations could not be solved to tolerance (residual {kkt:.3e})"
             )
-        return Coefficients(np.ldexp(_back_transform(coef, scales), k), 0.0, math.ldexp(kkt, k), 1)
+        return Coefficients(_ldexp(_back_transform(coef, scales), k), 0.0, _ldexp(kkt, k), 1)
     x0 = np.zeros(data.p + 1)
     weight_mean = float(weights.sum()) / n
     if weight_mean > 0.0:
         x0[0] = lin[0] / weight_mean
     # Below 64 ulps of max|lin| the residual is float noise in the units of y.
     floor = max(DEFAULT_TOL, 64.0 * np.finfo(float).eps * float(np.max(np.abs(lin))))
-    fit = _fit(lambda z_w: _squared_value_grad(z_w, weights, y), data, x0, math.ldexp(lam, -k), floor=floor)
-    return Coefficients(np.ldexp(fit.coef, k), lam, math.ldexp(fit.kkt_residual, k), fit.n_iter)
+    fit = _fit(lambda z_w: _squared_value_grad(z_w, weights, y), data, x0, _ldexp(lam, -k), floor=floor)
+    return Coefficients(_ldexp(fit.coef, k), lam, _ldexp(fit.kkt_residual, k), fit.n_iter)
 
 
 def fit_weighted_outcome_lasso(
@@ -686,10 +698,10 @@ def fit_ols(data: Dataset) -> Coefficients:
         raise RankDeficient(f"subsample size {m} cannot support {data.p + 1} coefficients")
     z, scales = data.standardized()
     k = _scale_exponent(data.y)  # as in :func:`_weighted_lasso`
-    coef, rank, kkt = _least_squares(z, data.a, np.ldexp(data.y, -k))
+    coef, rank, kkt = _least_squares(z, data.a, _ldexp(data.y, -k))
     if rank < data.p + 1:
         raise RankDeficient("design matrix is rank deficient on the fitting subsample")
-    return Coefficients(np.ldexp(_back_transform(coef, scales), k), 0.0, math.ldexp(kkt, k), 1)
+    return Coefficients(_ldexp(_back_transform(coef, scales), k), 0.0, _ldexp(kkt, k), 1)
 
 
 def post_lasso_refit(data: Dataset, active_union: Iterable[int], which: str) -> Coefficients:

@@ -133,10 +133,9 @@ def test_surface_values_match_direct_plugin():
 @pytest.mark.parametrize("variant", ["fig1", "fig2"])
 @pytest.mark.parametrize("seed", [2, 5])
 def test_surface_rows_match_the_plain_row_loop_bit_for_bit(variant, seed):
-    # the plain loop: a fresh propensity array per row and its minimum over
-    # every treated unit, then 1/pi = 1 + exp(-g x) split into the treated sums
-    # and the dot products with exp(-g x_t); on a slope grid across the
-    # positivity onset, so the NaN rows must match too
+    # the plain loop: a fresh propensity array per row, its minimum over every
+    # treated unit, then 1/pi; on a slope grid across the positivity onset, so
+    # the NaN rows must match too
     dgp = SurfaceDgp(variant, 20_000, seed)
     gammas = np.linspace(-1.0, 3.0, 81)
     betas = np.array([-30.0, -2.5, 0.0, 4.0])
@@ -150,9 +149,9 @@ def test_surface_rows_match_the_plain_row_loop_bit_for_bit(variant, seed):
             pi_t = 1.0 / (1.0 + np.exp(-(gs * x_t)))
         if np.min(pi_t) < POSITIVITY_THRESHOLD:
             continue
-        e_t = np.exp(-(gs * x_t))
-        t1 = (float(x.sum()) - float(x_t.sum()) - float(x_t @ e_t)) / data.n
-        t2 = (float(y_t.sum()) + float(y_t @ e_t)) / data.n
+        inv_pi_t = 1.0 / pi_t
+        t1 = (float(x.sum()) - float(x_t @ inv_pi_t)) / data.n
+        t2 = float(y_t @ inv_pi_t) / data.n
         want[i, :] = betas * t1 + t2 - mu0
     nan_rows = np.isnan(want[:, 0])
     assert nan_rows.any() and not nan_rows.all()

@@ -829,63 +829,3 @@ def test_version_runs():
     proc = run_cli("--version")
     assert proc.returncode == 0
     assert "pbrdr" in proc.stdout
-
-
-# The names the package exports from the two modules it imports on first use.
-LAZY_EXPORTS = {
-    "simulation": [
-        "MetricsRow", "MetricsTable", "ScenarioSpec", "TrueModel", "compute_metrics",
-        "draw_dataset", "gen_covariates", "parse_config_text", "run_monte_carlo",
-        "scenario1_model", "scenario2_model",
-    ],
-    "bias_surface": [
-        "SurfaceDgp", "SurfaceGrid", "evaluate_surface", "export_surface", "rescale_bias",
-        "surface_dataset", "target_mean",
-    ],
-}
-
-
-def _fresh_python(code):
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
-@pytest.mark.parametrize("module", ["pbrdr", "pbrdr.cli"])
-def test_import_loads_no_module_a_command_may_not_use(module):
-    # ``estimate`` runs neither the Monte Carlo runner nor the surface study,
-    # and ``statistics`` is loaded by the first penalty computation
-    out = _fresh_python(
-        f"import sys, {module}\n"
-        "print([m for m in ('pbrdr.simulation', 'pbrdr.bias_surface', 'statistics') if m in sys.modules])"
-    )
-    assert out.strip() == "[]"
-
-
-def test_exports_resolve_on_first_use_to_their_home_objects():
-    out = _fresh_python(
-        "import importlib, json, sys, pbrdr\n"
-        f"exports = {LAZY_EXPORTS!r}\n"
-        "same = {n: getattr(pbrdr, n) is getattr(importlib.import_module('pbrdr.' + m), n)\n"
-        "        for m, names in exports.items() for n in names}\n"
-        "modules = {m: getattr(pbrdr, m) is sys.modules['pbrdr.' + m] for m in exports}\n"
-        "listed = sorted(n for names in exports.values() for n in names if n not in dir(pbrdr))\n"
-        "star = {}\n"
-        "exec('from pbrdr import *', star)\n"
-        "unstarred = sorted(n for names in exports.values() for n in names if n not in star)\n"
-        "print(json.dumps([same, modules, listed, unstarred]))"
-    )
-    same, modules, listed, unstarred = json.loads(out)
-    assert all(same.values()) and len(same) == 18, same
-    assert all(modules.values()), modules
-    assert listed == unstarred == []
-
-
-def test_an_unknown_package_name_raises_attribute_error():
-    import pbrdr
-
-    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
-        pbrdr.no_such_name
-    with pytest.raises(ImportError):
-        from pbrdr import no_such_name  # noqa: F401
-    assert "pbrdr.simulation" not in _fresh_python("import sys, pbrdr\nhasattr(pbrdr, 'x')\nprint(list(sys.modules))")

@@ -454,16 +454,21 @@ def test_outcome_units_give_a_finite_result_or_a_named_error(scenario, p):
     # an outcome outside 2^-500..2^500 in size is fit at y 2^-k and mapped
     # back, and the influence values' SD is taken on the same scale: from
     # 1e154 up the squares overflowed, and from 1e156 a bare ValueError ended
-    # the suite; OR-OLS and MLE are linear in y, so they scale with it
+    # the suite. From 1e-300 to 1e300 every tag returns a finite result, and
+    # OR-OLS and MLE, linear in y, scale with it. At 1e-310 the S1 outcome is
+    # subnormal and lam 2^-k leaves the float range: the lassos raise
+    # NumericalRange, not a bare OverflowError.
     spec = ScenarioSpec(scenario, 60, p, False, True, True, reps=1, seed=0)
     data = draw_dataset(build_model(spec), 60, p, False, np.random.default_rng([3, 0]))
     base = estimate_suite(data)
-    for c in [10.0**k for k in (*range(-300, 301, 25), 154, 156)]:
+    for c in [10.0**k for k in (*range(-300, 301, 25), 154, 156)] + [1e-310]:
         for tag, entry in estimate_suite(Dataset(data.y * c, data.a, data.x)).items():
-            if entry.result is None:  # the suite lets no other exception through
+            if c == 1e-310 and entry.result is None:
+                assert isinstance(entry.exception, NumericalRange), (tag, entry.error)
                 continue
+            assert entry.result is not None, (tag, c, entry.error)
             assert math.isfinite(entry.result.mu_hat) and math.isfinite(entry.result.se), (tag, c)
-            if tag in ("OR-OLS", "MLE"):
+            if tag in ("OR-OLS", "MLE") and c >= 1e-300:
                 for got, want in ((entry.result.mu_hat, base[tag].result.mu_hat),
                                   (entry.result.se, base[tag].result.se)):
                     assert got == pytest.approx(c * want, rel=1e-12, abs=0.0), (tag, c)
@@ -472,6 +477,9 @@ def test_outcome_units_give_a_finite_result_or_a_named_error(scenario, p):
 def test_a_non_finite_result_is_a_named_error():
     with pytest.raises(NumericalRange, match="not finite"):
         estimators._interval(math.inf, np.ones(3))
+    # an SD past the float range, which np.std would return as inf
+    with pytest.raises(NumericalRange, match="leaves the float range"):
+        estimators._interval(0.0, np.array([-1.7e308, 1.7e308]))
 
 
 # ---------------------------------------------------------------------------

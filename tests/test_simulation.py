@@ -68,26 +68,6 @@ def test_gen_covariates_deterministic():
     assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("p", [2, 40, 300])
-def test_ar1_factor_is_built_once_and_read_only(p):
-    # the cached factor is the fresh one bit for bit, and no caller can change it
-    fresh = np.linalg.cholesky(simulation.ar1_covariance(p))
-    cached = simulation._ar1_factor(p)
-    assert cached is simulation._ar1_factor(p)
-    assert cached.tobytes() == fresh.tobytes()
-    with pytest.raises(ValueError):
-        cached[0, 0] = 2.0
-    # a correlated draw has the bytes of the uncached product
-    rng = np.random.default_rng([3, p])
-    want = np.random.default_rng([3, p]).standard_normal((60, p)) @ fresh.T
-    assert gen_covariates(60, p, True, rng).tobytes() == want.tobytes()
-    if p >= 15:
-        model = build_model(spec_s1(p=p, correlated=True))
-        data = draw_dataset(model, 60, p, True, np.random.default_rng([4, p]))
-        rng_x = np.random.default_rng([4, p]).spawn(3)[0]
-        assert data.x.tobytes() == (rng_x.standard_normal((60, p)) @ fresh.T).tobytes()
-
-
 # ---------------------------------------------------------------------------
 # scenario S1
 # ---------------------------------------------------------------------------
